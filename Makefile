@@ -22,7 +22,7 @@ BENCH_FLAGS = -run='^$$' -bench='^($(GATED_BENCHES))$$' -benchmem -benchtime=10x
 BENCHGATE_TIME_TOL ?= 0.10
 BENCHGATE_ALLOC_TOL ?= 0.10
 
-.PHONY: build test race bench bench-check fmt vet loadsmoke clustersmoke chaossmoke jobsmoke
+.PHONY: build test race bench bench-check fmt vet simgolden loadsmoke clustersmoke chaossmoke jobsmoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# simgolden reruns the simulator's golden-digest, fast-path equivalence
+# and chunked-campaign tests with every trial forced through the event
+# heap, so the heap-only path is also held to the pinned digests
+# (internal/sim/golden_test.go).
+simgolden:
+	ENERGYSCHED_SIM_NO_FASTPATH=1 $(GO) test -count=1 -run 'Golden|Equivalence|Chunked' ./internal/sim
 
 # loadsmoke replays the committed 10s reference trace against an
 # in-process server at real-time speed under -race; fails on any 5xx

@@ -52,10 +52,10 @@ var outcomeBounds = func() []float64 {
 // must not be modified.
 func OutcomeBounds() []float64 { return outcomeBounds }
 
-// bucket returns the index of the bucket v falls in: the first bound
+// BucketIndex returns the index of the bucket v falls in: the first bound
 // with v <= bound (inclusive upper edges), or len(bounds) for the
 // overflow bucket.
-func bucket(bounds []float64, v float64) int {
+func BucketIndex(bounds []float64, v float64) int {
 	return sort.SearchFloat64s(bounds, v)
 }
 
@@ -106,7 +106,16 @@ func New(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	h.count++
 	h.sum += v
-	h.counts[bucket(h.bounds, v)]++
+	h.counts[BucketIndex(h.bounds, v)]++
+}
+
+// ObserveBucket records one value whose bucket index the caller has
+// already computed as BucketIndex(bounds, v) over this histogram's bounds,
+// so a sequential reduction can skip the search.
+func (h *Histogram) ObserveBucket(v float64, i int) {
+	h.count++
+	h.sum += v
+	h.counts[i]++
 }
 
 // Reset empties the histogram for reuse without reallocating.
@@ -266,7 +275,7 @@ func (a *Atomic) Observe(v int64) {
 			break
 		}
 	}
-	a.buckets[bucket(a.bounds, float64(v))].Add(1)
+	a.buckets[BucketIndex(a.bounds, float64(v))].Add(1)
 }
 
 // Max returns the largest observed value, or 0 when empty. Unlike the

@@ -268,3 +268,18 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return j
 }
+
+// TestObserveBucketMatchesObserve: recording a value at its
+// precomputed BucketIndex must leave the histogram exactly as Observe
+// does — counters, sum and the State it serializes to.
+func TestObserveBucketMatchesObserve(t *testing.T) {
+	bounds := OutcomeBounds()
+	a, b := New(bounds), New(bounds)
+	for _, v := range []float64{0, 1e-7, 1e-6, 0.37, 1, 12.5, 1e9, 2e9, math.Nextafter(1, 2)} {
+		a.Observe(v)
+		b.ObserveBucket(v, BucketIndex(bounds, v))
+	}
+	if !reflect.DeepEqual(a.State(), b.State()) {
+		t.Fatalf("ObserveBucket state %+v, Observe state %+v", b.State(), a.State())
+	}
+}

@@ -9,9 +9,13 @@
 // The inner loop is built around the fault-free fast path (see
 // Runner.Run): at the reliability targets the paper studies the
 // overwhelming majority of trials draw zero faults, replay the
-// deterministic fault-free schedule, and therefore cost only the
-// occurrence-uniform draws — the event heap runs solely for the
-// faulty minority. Worker Runners are Clones sharing the immutable
+// deterministic fault-free schedule, and therefore cost only one fused
+// loop that draws each occurrence value and compares it with its
+// attempt's integer threshold, storing nothing; the worker then copies
+// the precomputed fault-free slot. The event heap runs solely for the
+// faulty minority, whose workers also locate the outcome histogram
+// buckets, so the sequential merge only adds and counts — it does no
+// bucket search. Worker Runners are Clones sharing the immutable
 // per-attempt tables, their scratch slab-allocated in one block per
 // type, and the whole campaign state is retained on the base Runner,
 // so repeated campaigns run with near-zero steady-state allocation.
@@ -20,7 +24,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -180,13 +183,40 @@ func pct(observed, predicted float64) float64 {
 }
 
 // trialSlot is one trial's condensed outcome; workers write disjoint
-// slots, the merge reads them in trial order.
+// slots, the merge reads them in trial order. The histogram bucket
+// indices of energy and makespan over hist.OutcomeBounds (481 edges,
+// so they fit uint16) ride in what would otherwise be padding: the
+// slot stays 32 bytes.
 type trialSlot struct {
 	energy   float64
 	makespan float64
 	reexec   int32
 	faults   int32
+	eBucket  uint16
+	mBucket  uint16
 	flags    uint8 // bit 0: succeeded, bit 1: deadline met
+}
+
+// newTrialSlot condenses an outcome into its slot, bucket indices
+// included.
+func newTrialSlot(o *Outcome) trialSlot {
+	var flags uint8
+	if o.Succeeded {
+		flags |= 1
+	}
+	if o.DeadlineMet {
+		flags |= 2
+	}
+	bounds := hist.OutcomeBounds()
+	return trialSlot{
+		energy:   o.Energy,
+		makespan: o.Makespan,
+		reexec:   int32(o.Reexecutions),
+		faults:   int32(o.Faults),
+		eBucket:  uint16(hist.BucketIndex(bounds, o.Energy)),
+		mBucket:  uint16(hist.BucketIndex(bounds, o.Makespan)),
+		flags:    flags,
+	}
 }
 
 // campaignScratch is the reusable campaign state a Runner retains
@@ -222,7 +252,7 @@ func (r *Runner) campaignScratchFor(workers, trials int) *campaignScratch {
 		slab := make([]Runner, need)
 		indeg := make([]int32, need*n)
 		done := make([]bool, need*n)
-		us := make([]float64, 2*need*n)
+		xs := make([]uint64, 2*need*n)
 		heaps := make([]event, need*hc)
 		clones := make([]*Runner, need)
 		for w := 0; w < need; w++ {
@@ -232,8 +262,7 @@ func (r *Runner) campaignScratchFor(workers, trials int) *campaignScratch {
 			c.camp = nil
 			c.indeg = indeg[w*n : (w+1)*n]
 			c.done = done[w*n : (w+1)*n]
-			c.u1 = us[2*w*n : (2*w+1)*n]
-			c.u2 = us[(2*w+1)*n : (2*w+2)*n]
+			c.x = xs[2*w*n : 2*(w+1)*n]
 			c.heap = heaps[w*hc : w*hc : (w+1)*hc]
 			clones[w] = c
 		}
@@ -292,55 +321,12 @@ func (r *Runner) RunCampaign(ctx context.Context, trials, workers int) (*Campaig
 		return nil, err
 	}
 
-	c := &Campaign{
-		Trials:    trials,
-		Seed:      r.opts.Seed,
-		Policy:    r.opts.Policy.String(),
-		WorstCase: r.opts.WorstCase,
-		Energy:    Summary{Min: math.Inf(1), Max: math.Inf(-1)},
-		Makespan:  Summary{Min: math.Inf(1), Max: math.Inf(-1)},
-		Predicted: r.Predict(),
-	}
 	mergeStart := time.Now()
 	cs.eHist.Reset()
 	cs.mHist.Reset()
-	var sumE, sumM float64
-	for t := range slots {
-		slot := &slots[t]
-		sumE += slot.energy
-		sumM += slot.makespan
-		cs.eHist.Observe(slot.energy)
-		cs.mHist.Observe(slot.makespan)
-		if slot.energy < c.Energy.Min {
-			c.Energy.Min = slot.energy
-		}
-		if slot.energy > c.Energy.Max {
-			c.Energy.Max = slot.energy
-		}
-		if slot.makespan < c.Makespan.Min {
-			c.Makespan.Min = slot.makespan
-		}
-		if slot.makespan > c.Makespan.Max {
-			c.Makespan.Max = slot.makespan
-		}
-		c.Reexecutions += int64(slot.reexec)
-		c.Faults += int64(slot.faults)
-		if slot.faults == 0 {
-			c.FaultFreeTrials++
-		}
-		if slot.flags&1 != 0 {
-			c.Successes++
-		}
-		if slot.flags&2 == 0 {
-			c.DeadlineMisses++
-		}
-	}
-	c.SuccessRate = float64(c.Successes) / float64(trials)
-	c.FaultFreeRate = float64(c.FaultFreeTrials) / float64(trials)
-	c.Energy.Mean = sumE / float64(trials)
-	c.Makespan.Mean = sumM / float64(trials)
-	c.EnergyHist = cs.eHist.JSON()
-	c.MakespanHist = cs.mHist.JSON()
+	st := emptyCampaignState()
+	mergeChunk(&st, slots, cs.eHist, cs.mHist)
+	c := r.newCampaign(&st, cs.eHist, cs.mHist)
 	fastServed := r.fastServed
 	for w := 1; w < workers; w++ {
 		fastServed += cs.clones[w-1].fastServed
@@ -378,22 +364,12 @@ func runClaims(ctx context.Context, r *Runner, tr *Trace, slots []trialSlot, bas
 			hi = n
 		}
 		for t := lo; t < hi; t++ {
-			r.Run(base+t, tr)
-			o := &tr.Outcome
-			var flags uint8
-			if o.Succeeded {
-				flags |= 1
+			if r.fastTrial(base + t) {
+				slots[t] = r.ffSlot
+				continue
 			}
-			if o.DeadlineMet {
-				flags |= 2
-			}
-			slots[t] = trialSlot{
-				energy:   o.Energy,
-				makespan: o.Makespan,
-				reexec:   int32(o.Reexecutions),
-				faults:   int32(o.Faults),
-				flags:    flags,
-			}
+			r.heapTrial(base+t, tr)
+			slots[t] = newTrialSlot(&tr.Outcome)
 		}
 	}
 }

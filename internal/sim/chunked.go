@@ -276,10 +276,7 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 
 	// The merged aggregate. Resume replays the serialized state into
 	// it; a fresh campaign starts from the empty-merge identity.
-	st := CampaignState{
-		MinEnergy: math.Inf(1), MaxEnergy: math.Inf(-1),
-		MinMakespan: math.Inf(1), MaxMakespan: math.Inf(-1),
-	}
+	st := emptyCampaignState()
 	if opts.StartChunk > 0 {
 		if opts.Resume == nil {
 			return nil, fmt.Errorf("sim: start chunk %d needs a resume state", opts.StartChunk)
@@ -363,33 +360,10 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 	if st.TrialsRun == 0 {
 		return nil, fmt.Errorf("sim: campaign ran no trials")
 	}
-	c := &Campaign{
-		Trials:          st.TrialsRun,
-		TrialsRequested: trials,
-		StoppedEarly:    st.TrialsRun < trials,
-		CIHalfWidth:     WilsonHalfWidth(st.Successes, st.TrialsRun, z),
-		Seed:            r.opts.Seed,
-		Policy:          r.opts.Policy.String(),
-		WorstCase:       r.opts.WorstCase,
-		Successes:       st.Successes,
-		SuccessRate:     float64(st.Successes) / float64(st.TrialsRun),
-		DeadlineMisses:  st.DeadlineMisses,
-		Reexecutions:    st.Reexecutions,
-		Faults:          st.Faults,
-		FaultFreeTrials: st.FaultFreeTrials,
-		FaultFreeRate:   float64(st.FaultFreeTrials) / float64(st.TrialsRun),
-		Energy: Summary{
-			Mean: st.SumEnergy / float64(st.TrialsRun),
-			Min:  st.MinEnergy, Max: st.MaxEnergy,
-		},
-		Makespan: Summary{
-			Mean: st.SumMakespan / float64(st.TrialsRun),
-			Min:  st.MinMakespan, Max: st.MaxMakespan,
-		},
-		EnergyHist:   scratch.eHist.JSON(),
-		MakespanHist: scratch.mHist.JSON(),
-		Predicted:    r.Predict(),
-	}
+	c := r.newCampaign(&st, scratch.eHist, scratch.mHist)
+	c.TrialsRequested = trials
+	c.StoppedEarly = st.TrialsRun < trials
+	c.CIHalfWidth = WilsonHalfWidth(st.Successes, st.TrialsRun, z)
 	var fastServed int64
 	for _, rn := range pool.runners {
 		fastServed += rn.fastServed
@@ -414,16 +388,27 @@ func chunkResumeTrials(opts ChunkedOptions) int {
 	return opts.Resume.TrialsRun
 }
 
-// mergeChunk folds one chunk's trial slots — in slot order, which is
-// trial order — into the running state, exactly the reduction
-// RunCampaign performs over its whole-campaign slot array.
+// emptyCampaignState is the identity of the merge: no trials, and
+// extrema that any first observation replaces.
+func emptyCampaignState() CampaignState {
+	return CampaignState{
+		MinEnergy: math.Inf(1), MaxEnergy: math.Inf(-1),
+		MinMakespan: math.Inf(1), MaxMakespan: math.Inf(-1),
+	}
+}
+
+// mergeChunk folds trial slots — in slot order, which is trial order —
+// into the running state. It is the one sequential reduction of every
+// campaign: RunCampaign merges its whole slot array, RunCampaignChunked
+// one chunk at a time. The histograms take the bucket indices the
+// workers stored in the slots, so the merge does no search.
 func mergeChunk(st *CampaignState, slots []trialSlot, eHist, mHist *hist.Histogram) {
 	for i := range slots {
 		slot := &slots[i]
 		st.SumEnergy += slot.energy
 		st.SumMakespan += slot.makespan
-		eHist.Observe(slot.energy)
-		mHist.Observe(slot.makespan)
+		eHist.ObserveBucket(slot.energy, int(slot.eBucket))
+		mHist.ObserveBucket(slot.makespan, int(slot.mBucket))
 		if slot.energy < st.MinEnergy {
 			st.MinEnergy = slot.energy
 		}
@@ -449,6 +434,30 @@ func mergeChunk(st *CampaignState, slots []trialSlot, eHist, mHist *hist.Histogr
 		}
 	}
 	st.TrialsRun += len(slots)
+}
+
+// newCampaign renders a merged state (with its histograms) as the
+// Campaign report; the chunked-only fields are left to the caller.
+func (r *Runner) newCampaign(st *CampaignState, eHist, mHist *hist.Histogram) *Campaign {
+	n := float64(st.TrialsRun)
+	return &Campaign{
+		Trials:          st.TrialsRun,
+		Seed:            r.opts.Seed,
+		Policy:          r.opts.Policy.String(),
+		WorstCase:       r.opts.WorstCase,
+		Successes:       st.Successes,
+		SuccessRate:     float64(st.Successes) / n,
+		DeadlineMisses:  st.DeadlineMisses,
+		Reexecutions:    st.Reexecutions,
+		Faults:          st.Faults,
+		FaultFreeTrials: st.FaultFreeTrials,
+		FaultFreeRate:   float64(st.FaultFreeTrials) / n,
+		Energy:          Summary{Mean: st.SumEnergy / n, Min: st.MinEnergy, Max: st.MaxEnergy},
+		Makespan:        Summary{Mean: st.SumMakespan / n, Min: st.MinMakespan, Max: st.MaxMakespan},
+		EnergyHist:      eHist.JSON(),
+		MakespanHist:    mHist.JSON(),
+		Predicted:       r.Predict(),
+	}
 }
 
 // RunCampaignChunked validates the (instance, schedule) pairing,

@@ -202,13 +202,31 @@ type attempt struct {
 	segs   []schedule.Segment
 }
 
+// occurrenceThreshold converts a failure probability into the integer
+// threshold thr with x>>11 < thr ⟺ float64(x>>11)/2⁵³ < p for every
+// 64-bit draw x. The left side is an integer k < 2⁵³ and k/2⁵³ is
+// exact, as is p·2⁵³ (a power-of-two scaling), so k/2⁵³ < p ⟺
+// k < p·2⁵³ ⟺ k < ⌈p·2⁵³⌉. p ≥ 1 faults on every draw (2⁵³); p ≤ 0
+// and NaN never fault (0).
+func occurrenceThreshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	default:
+		return 0
+	}
+}
+
 // event is a heap entry. Kind breaks exact time ties after task and
-// attempt, giving the queue a total deterministic order.
+// attempt, giving the queue a total deterministic order; the fields
+// pack into 16 bytes.
 type event struct {
 	time    float64
 	task    int32
 	attempt int8
-	kind    EventKind
+	kind    uint8 // an EventKind
 	failed  bool
 }
 
@@ -227,7 +245,7 @@ func eventLess(a, b event) bool {
 
 // Runner is a prepared simulation: instance and schedule cross-checked
 // once, constraint graph built once, per-attempt durations, energies,
-// failure probabilities — and the fault-free outcome — precomputed
+// occurrence thresholds — and the fault-free outcome — precomputed
 // once. Run then executes individual trials allocation-free, so
 // campaigns amortize all setup, and trials whose occurrence draws
 // admit no fault short-circuit to the precomputed outcome without
@@ -244,11 +262,22 @@ type Runner struct {
 	first  []attempt
 	second []attempt // dur == 0 → no second attempt possible
 	hasSec []bool
+	// thr holds the occurrence thresholds of the first attempts, then
+	// of the second attempts (occurrenceThreshold of each p; all zero
+	// when faults are not injected, and zero for absent second
+	// attempts): attempt k of task i faults iff x[k·n+i]>>11 < thr[k·n+i].
+	thr []uint64
+	// fastThr is the prefix of thr the fast path must clear: the first
+	// attempts, plus the always-running second attempts in worst-case
+	// replay; empty when faults are not injected.
+	fastThr []uint64
 
 	// ff is the outcome of the deterministic fault-free execution
 	// under the runner's options, precomputed by one event-heap run in
-	// NewRunner; it is what the fast path emits.
-	ff Outcome
+	// NewRunner; it is what the fast path emits, and ffSlot is its
+	// campaign slot.
+	ff     Outcome
+	ffSlot trialSlot
 	// noFast forces the event heap for every trial (Options or env).
 	noFast bool
 	// fastServed counts trials this runner answered from the fast path
@@ -257,10 +286,10 @@ type Runner struct {
 	fastServed int64
 
 	// per-trial scratch
-	indeg  []int32
-	done   []bool // task completed all its attempts successfully
-	u1, u2 []float64
-	heap   []event
+	indeg []int32
+	done  []bool   // task completed all its attempts successfully
+	x     []uint64 // the trial's raw draws, laid out like thr
+	heap  []event
 
 	// camp is the reusable campaign state (worker clones, trial slots,
 	// outcome histograms), built lazily by RunCampaign.
@@ -303,10 +332,10 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 		first:  make([]attempt, n),
 		second: make([]attempt, n),
 		hasSec: make([]bool, n),
+		thr:    make([]uint64, 2*n),
 		indeg:  make([]int32, n),
 		done:   make([]bool, n),
-		u1:     make([]float64, n),
-		u2:     make([]float64, n),
+		x:      make([]uint64, 2*n),
 		heap:   make([]event, 0, 4*n),
 	}
 	for i := 0; i < n; i++ {
@@ -349,23 +378,37 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 		}
 	}
 	r.noFast = opts.DisableFastPath || os.Getenv(NoFastPathEnv) != ""
-	// Precompute the fault-free outcome by one event-heap run with the
-	// injector off: the fault-free trace is fully deterministic (no
-	// stream is consumed), so this single run is the exact outcome of
-	// every trial whose occurrence draws admit no fault.
+	// Precompute the fault-free outcome by one event-heap run while the
+	// thresholds are still zero: the fault-free trace is fully
+	// deterministic (no stream is consumed), so this single run is the
+	// exact outcome of every trial whose occurrence draws admit no
+	// fault.
 	record := r.opts.Record
 	r.opts.Record = false
 	var ff Trace
-	r.runHeap(&ff, false)
+	r.runHeap(&ff)
 	r.opts.Record = record
 	r.ff = ff.Outcome
+	r.ffSlot = newTrialSlot(&r.ff)
+	if in.Rel != nil && !opts.DisableFaults {
+		for i := 0; i < n; i++ {
+			r.thr[i] = occurrenceThreshold(r.first[i].p)
+			if r.hasSec[i] {
+				r.thr[n+i] = occurrenceThreshold(r.second[i].p)
+			}
+		}
+		r.fastThr = r.thr[:n]
+		if opts.WorstCase {
+			r.fastThr = r.thr
+		}
+	}
 	return r, nil
 }
 
 // Clone returns a Runner that shares every immutable trial-invariant
 // table with r — instance, schedule, constraint graph, per-attempt
 // tables, precomputed fault-free outcome — and owns fresh per-trial
-// scratch. Cloning costs five O(n) slice allocations instead of the
+// scratch. Cloning costs four O(n) slice allocations instead of the
 // constraint-graph reconstruction and validation NewRunner pays,
 // which is what makes campaign worker pools cheap. The clone starts
 // from the same Options; like its source, it is not safe for
@@ -376,8 +419,7 @@ func (r *Runner) Clone() *Runner {
 	n := len(r.first)
 	c.indeg = make([]int32, n)
 	c.done = make([]bool, n)
-	c.u1 = make([]float64, n)
-	c.u2 = make([]float64, n)
+	c.x = make([]uint64, 2*n)
 	c.heap = make([]event, 0, cap(r.heap))
 	c.camp = nil
 	return c
@@ -399,92 +441,66 @@ func makeAttempt(ex schedule.Execution, rel *model.Reliability) attempt {
 // allocations beyond heap growth on first use.
 //
 // Fast path: the per-attempt fault *occurrence* decision factors out
-// of the fault *location* computation (the same uniform u both decides
-// u < p and, via inverse-CDF over the segment hazard, locates the
+// of the fault *location* computation (the same draw both decides the
+// occurrence and, via inverse-CDF over the segment hazard, locates the
 // instant — see faultOffset), so a trial can be classified by drawing
-// only the occurrence uniforms. They are drawn in the same task order
-// the event-heap path uses; when none admits a fault the trial is the
-// deterministic fault-free execution and Run emits the precomputed
-// Outcome without touching the heap. Each trial owns its counter-split
-// stream rng.At(Seed, trial), so stopping after the occurrence block
-// is unobservable — no later consumer shares the stream — and the
+// only the occurrence draws. fastTrial compares each raw draw against
+// its attempt's integer threshold as it is drawn, in the same task
+// order the event-heap path uses, and stores nothing; when none admits
+// a fault the trial is the deterministic fault-free execution and Run
+// emits the precomputed Outcome without touching the heap. Each trial
+// owns its counter-split stream rng.At(Seed, trial), so stopping early
+// is unobservable — no later consumer shares the stream — and a faulty
+// trial simply restarts the stream to fill its draws for the heap. The
 // emitted outcome is bit-identical to the event-heap run (equivalence-
-// tested across seeds, policies and workload classes).
+// and golden-tested across seeds, policies and workload classes).
 func (r *Runner) Run(trial int, tr *Trace) {
-	opts := r.opts
-	injecting := r.rel != nil && !opts.DisableFaults
-	fast := !r.noFast && !opts.Record
-	if !injecting {
-		if fast {
-			r.fastServed++
-			tr.Events = tr.Events[:0]
-			tr.Outcome = r.ff
-			return
-		}
-		r.runHeap(tr, false)
+	if r.fastTrial(trial) {
+		tr.Events = tr.Events[:0]
+		tr.Outcome = r.ff
 		return
 	}
-	// Draws are made up front in task order — two per task, used or
-	// not — so the outcome depends only on (seed, trial), never on
-	// event interleaving.
+	r.heapTrial(trial, tr)
+}
+
+// fastTrial reports whether the fast path serves trial: it must be
+// enabled, and no occurrence draw in fastThr may admit a fault. A
+// served trial is counted in fastServed.
+func (r *Runner) fastTrial(trial int) bool {
+	if r.noFast || r.opts.Record {
+		return false
+	}
+	stream := rng.At(r.opts.Seed, trial)
+	for _, t := range r.fastThr {
+		if stream.Uint64()>>11 < t {
+			return false
+		}
+	}
+	r.fastServed++
+	return true
+}
+
+// heapTrial runs trial on the event heap. The draws are made up front
+// in task order — two per task, used or not — so the outcome depends
+// only on (seed, trial), never on event interleaving. Without fault
+// injection every threshold is zero and the draws decide nothing.
+func (r *Runner) heapTrial(trial int, tr *Trace) {
+	stream := rng.At(r.opts.Seed, trial)
+	for i := range r.x {
+		r.x[i] = stream.Uint64()
+	}
+	r.runHeap(tr)
+}
+
+// runHeap is the event-heap execution of one trial; the draws x must
+// already be filled for this trial. An unrecorded run enqueues each
+// attempt as its Finish event, with the failure already decided from
+// its draw (see enqueue); a recorded run enqueues a Start event that
+// decides the failure, logs the fault instant and then enqueues the
+// Finish. Either way the Finish events pop in the same key order, so
+// energies, releases and outcomes agree.
+func (r *Runner) runHeap(tr *Trace) {
 	n := len(r.first)
-	stream := rng.At(opts.Seed, trial)
-	for i := 0; i < n; i++ {
-		r.u1[i] = stream.Float64()
-	}
-	if fast && !opts.WorstCase && r.cleanFirst() {
-		// No first attempt faults; no second attempt runs. The trial
-		// is the fault-free replay.
-		r.fastServed++
-		tr.Events = tr.Events[:0]
-		tr.Outcome = r.ff
-		return
-	}
-	for i := 0; i < n; i++ {
-		r.u2[i] = stream.Float64()
-	}
-	if fast && opts.WorstCase && r.cleanFirst() && r.cleanSecondWorstCase() {
-		// Worst-case replay runs every scheduled execution whatever
-		// the draws, so the fault-free short-circuit must also clear
-		// the always-running second attempts.
-		r.fastServed++
-		tr.Events = tr.Events[:0]
-		tr.Outcome = r.ff
-		return
-	}
-	r.runHeap(tr, true)
-}
-
-// cleanFirst reports whether no first attempt's occurrence uniform
-// admits a fault — the same u < p test the event-heap path applies at
-// each EventStart.
-func (r *Runner) cleanFirst() bool {
-	for i := range r.first {
-		if p := r.first[i].p; p > 0 && r.u1[i] < p {
-			return false
-		}
-	}
-	return true
-}
-
-// cleanSecondWorstCase reports whether no always-running worst-case
-// second attempt admits a fault.
-func (r *Runner) cleanSecondWorstCase() bool {
-	for i := range r.second {
-		if !r.hasSec[i] {
-			continue
-		}
-		if p := r.second[i].p; p > 0 && r.u2[i] < p {
-			return false
-		}
-	}
-	return true
-}
-
-// runHeap is the event-heap execution of one trial; when injecting,
-// the occurrence uniforms u1/u2 must already be filled for this trial.
-func (r *Runner) runHeap(tr *Trace, injecting bool) {
-	n := r.in.Graph.N()
 	opts := r.opts
 	copy(r.indeg, r.indeg0)
 	for i := range r.done {
@@ -495,7 +511,7 @@ func (r *Runner) runHeap(tr *Trace, injecting bool) {
 	r.heap = r.heap[:0]
 	for i := 0; i < n; i++ {
 		if r.indeg0[i] == 0 {
-			r.push(event{time: r.first[i].start, task: int32(i), attempt: 0, kind: EventStart})
+			r.enqueue(i, 0, r.first[i].start)
 		}
 	}
 	for len(r.heap) > 0 {
@@ -505,26 +521,17 @@ func (r *Runner) runHeap(tr *Trace, injecting bool) {
 		if ev.attempt == 1 {
 			att = &r.second[i]
 		}
-		switch ev.kind {
+		switch EventKind(ev.kind) {
 		case EventStart:
-			failed := false
-			if injecting && att.p > 0 {
-				u := r.u1[i]
-				if ev.attempt == 1 {
-					u = r.u2[i]
-				}
-				if u < att.p {
-					failed = true
-					if opts.Record {
-						r.push(event{time: ev.time + faultOffset(att, u, *r.rel), task: ev.task, attempt: ev.attempt, kind: EventFault})
-					}
-				}
+			k := int(ev.attempt)*n + i
+			failed := r.x[k]>>11 < r.thr[k]
+			if failed {
+				u := float64(r.x[k]>>11) / (1 << 53)
+				r.push(event{time: ev.time + faultOffset(att, u, *r.rel), task: ev.task, attempt: ev.attempt, kind: uint8(EventFault)})
 			}
-			if opts.Record {
-				tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventStart.String(),
-					Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed})
-			}
-			r.push(event{time: ev.time + att.dur, task: ev.task, attempt: ev.attempt, kind: EventFinish, failed: failed})
+			tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventStart.String(),
+				Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed})
+			r.push(event{time: ev.time + att.dur, task: ev.task, attempt: ev.attempt, kind: uint8(EventFinish), failed: failed})
 		case EventFault:
 			tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventFault.String(),
 				Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed})
@@ -572,6 +579,26 @@ func (r *Runner) runHeap(tr *Trace, injecting bool) {
 	tr.Outcome = out
 }
 
+// enqueue makes attempt k of task i ready to start at time t. A
+// recorded run pushes its Start event; an unrecorded run skips the
+// Start round trip and pushes the Finish event directly, its failure
+// decided from the trial's draw. The Finish key (start+dur, task,
+// attempt) is the same either way, and every event popped before a
+// Start has a smaller key than that Start's Finish, so the Finish
+// events pop in the same order in both modes.
+func (r *Runner) enqueue(i, k int, t float64) {
+	if r.opts.Record {
+		r.push(event{time: t, task: int32(i), attempt: int8(k), kind: uint8(EventStart)})
+		return
+	}
+	att := &r.first[i]
+	if k == 1 {
+		att = &r.second[i]
+	}
+	j := k*len(r.first) + i
+	r.push(event{time: t + att.dur, task: int32(i), attempt: int8(k), kind: uint8(EventFinish), failed: r.x[j]>>11 < r.thr[j]})
+}
+
 // startAttempt enqueues the start of attempt k of task i after the
 // previous attempt finished at time now. In worst-case replay the
 // success bookkeeping of attempt 1 is resolved at its finish via done.
@@ -584,7 +611,7 @@ func (r *Runner) startAttempt(i, k int, now float64, out *Outcome) {
 	if r.opts.WorstCase {
 		out.Reexecutions++
 	}
-	r.push(event{time: start, task: int32(i), attempt: int8(k), kind: EventStart})
+	r.enqueue(i, k, start)
 }
 
 // release marks task i complete at time now and makes its
@@ -598,7 +625,7 @@ func (r *Runner) release(i int, now float64) {
 			if now > start {
 				start = now
 			}
-			r.push(event{time: start, task: int32(v), attempt: 0, kind: EventStart})
+			r.enqueue(v, 0, start)
 		}
 	}
 }
@@ -609,7 +636,8 @@ func (r *Runner) release(i int, now float64) {
 // 1−e^−Λ — see model.Reliability.FailureProb and faultsim), so the
 // per-attempt uniform u that decided the fault (u < p, u uniform)
 // doubles as the exact inverse-CDF sample: the fault lands where the
-// running Λ crosses u.
+// running Λ crosses u. Only recorded traces locate faults, so only
+// they convert a draw back to the float u = (x>>11)/2⁵³.
 func faultOffset(att *attempt, u float64, rel model.Reliability) float64 {
 	h := 0.0
 	t := 0.0
