@@ -173,6 +173,23 @@ type Response struct {
 	// caller quotes against GET /debug/traces. Empty when the endpoint
 	// is untraced.
 	RequestID string
+
+	validity int8 // ValidJSON's cached verdict: 0 unknown, 1 valid, -1 not
+}
+
+// ValidJSON reports whether Body is syntactically valid JSON. The body
+// is scanned on the first call only and the verdict cached, so a
+// caller that checks one response at several layers pays for one
+// scan. Body must not change after the first call, and the first call
+// must not race another on the same Response.
+func (r *Response) ValidJSON() bool {
+	if r.validity == 0 {
+		r.validity = -1
+		if json.Valid(r.Body) {
+			r.validity = 1
+		}
+	}
+	return r.validity > 0
 }
 
 // Class classifies the response status.

@@ -11,6 +11,40 @@ import (
 	"energysched/internal/client"
 )
 
+// TestResponseValidJSON pins the cached validity verdict the router
+// reads at every layer: valid bodies, junk, an empty body and a body
+// cut short mid-stream, each judged as json.Valid judges it — and
+// judged once, so the verdict stands even if the body later changes.
+func TestResponseValidJSON(t *testing.T) {
+	cases := []struct {
+		name string
+		body string
+		want bool
+	}{
+		{"object", `{"result":{"energy":1.5}}`, true},
+		{"array with whitespace", " [1, 2, {\"a\": null}]\n", true},
+		{"scalar", `42`, true},
+		{"invalid", `<html>not json</html>`, false},
+		{"empty", ``, false},
+		{"truncated", `{"result":{"energy":1.`, false},
+		{"trailing junk", `{} {}`, false},
+	}
+	for _, c := range cases {
+		r := &client.Response{Status: http.StatusOK, Body: []byte(c.body)}
+		if got := r.ValidJSON(); got != c.want {
+			t.Errorf("%s: ValidJSON() = %v, want %v", c.name, got, c.want)
+		}
+		if c.want {
+			r.Body = []byte(`{`)
+		} else {
+			r.Body = []byte(`{}`)
+		}
+		if got := r.ValidJSON(); got != c.want {
+			t.Errorf("%s: second ValidJSON() = %v, want the cached %v", c.name, got, c.want)
+		}
+	}
+}
+
 // TestClassify pins the one outcome classification every consumer
 // (router failover, energyload report buckets) shares.
 func TestClassify(t *testing.T) {

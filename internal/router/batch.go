@@ -55,7 +55,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(instances) == 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		resp, m, err := rt.forwardChain(ctx, p, "batch", routingKey("batch", body), body, map[int]bool{}, -1, 0)
+		resp, m, err := rt.forwardChain(ctx, p, "batch", rt.routingKey("batch", body), body, map[int]bool{}, -1, 0)
 		if err != nil {
 			rt.writeForwardError(w, err)
 			return
@@ -68,8 +68,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// backend at grouping time the whole request is 503 — nothing has
 	// been sent yet.
 	groups := map[int][]int{}
+	keys := make([]string, len(instances))
 	for i, raw := range instances {
-		target := rt.pickFrom(p, instanceKey(raw), nil)
+		keys[i] = rt.instanceKey(raw)
+		target := rt.pickFrom(p, keys[i], nil)
 		if target < 0 {
 			rt.noBackend.Add(1)
 			rt.writeError(w, http.StatusServiceUnavailable, errNoBackend.Error())
@@ -92,7 +94,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(target int, idxs []int) {
 			defer wg.Done()
-			sub := rt.subBatch(ctx, p, top, instances, idxs, target)
+			sub := rt.subBatch(ctx, p, top, instances, idxs, target, keys[idxs[0]])
 			mu.Lock()
 			defer mu.Unlock()
 			out.CacheHits += sub.CacheHits
@@ -108,13 +110,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // subBatch runs one scatter leg: build the sub-body for idxs, send it
 // (failing over past failed attempts, preferring the affinity-picked
-// target first), and decode the items. Each attempt gets an equal
+// target first, with key — the routing key of the leg's first item —
+// steering any failover), and decode the items. Each attempt gets an equal
 // slice of the request's remaining deadline budget — one stuck
 // backend can burn at most its slice before the leg fails over, so a
 // single slow member cannot consume the whole batch's budget.
 // Failures degrade to per-item errors so the gathered batch stays a
 // 200 with exactly one entry per input instance.
-func (rt *Router) subBatch(ctx context.Context, p *pool, top map[string]json.RawMessage, instances []json.RawMessage, idxs []int, target int) batchResponse {
+func (rt *Router) subBatch(ctx context.Context, p *pool, top map[string]json.RawMessage, instances []json.RawMessage, idxs []int, target int, key string) batchResponse {
 	fill := func(msg string) batchResponse {
 		sub := batchResponse{Items: make([]batchItemJSON, len(idxs))}
 		for j := range sub.Items {
@@ -154,7 +157,7 @@ func (rt *Router) subBatch(ctx context.Context, p *pool, top map[string]json.Raw
 	// Route preferring the scatter target: under affinity that is the
 	// owner of this sub-batch's keys; the chain fails over past it on
 	// any failed attempt.
-	resp, m, err := rt.forwardChain(ctx, p, "batch", instanceKey(instances[idxs[0]]), subBody, map[int]bool{}, target, perAttempt)
+	resp, m, err := rt.forwardChain(ctx, p, "batch", key, subBody, map[int]bool{}, target, perAttempt)
 	if err != nil {
 		return fill("router: " + err.Error())
 	}

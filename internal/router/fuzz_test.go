@@ -19,12 +19,15 @@ import (
 // the signature of a process dying while writing. Whatever comes back,
 // the router must answer every request without panicking, with a
 // syntactically valid JSON body, and with a real HTTP status; junk is
-// converted to a 502 envelope, never relayed.
+// converted to a 502 envelope, never relayed. Every request is sent
+// twice under the same script; the second, an instance-key memo hit
+// whenever the body carries a decodable instance, must get the first's
+// status and body bytes.
 func FuzzRouterProxy(f *testing.F) {
-	// The fuzz engine runs workers in parallel against one shared
-	// backend, so the scripted response lives behind a mutex. The
-	// invariants checked below hold for every script, so cross-worker
-	// interleaving is harmless.
+	// The backend handler runs on its own goroutine, so the scripted
+	// response lives behind a mutex. Fuzz workers are separate
+	// processes, each calling the target sequentially, so one script
+	// holds for both requests of an input.
 	var (
 		mu       sync.Mutex
 		status   int
@@ -71,21 +74,34 @@ func FuzzRouterProxy(f *testing.F) {
 		status, payload, truncate = st, body, tr
 		mu.Unlock()
 
-		resp, err := http.Post(front.URL+"/v1/solve", "application/json", bytes.NewReader(reqBody))
-		if err != nil {
-			t.Fatalf("router itself failed to answer: %v", err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("reading router response: %v", err)
-		}
-		if resp.StatusCode < 200 || resp.StatusCode > 599 {
-			t.Fatalf("router status %d out of range (backend scripted %d)", resp.StatusCode, st)
+		code, data := postRouter(t, front.URL, reqBody)
+		if code < 200 || code > 599 {
+			t.Fatalf("router status %d out of range (backend scripted %d)", code, st)
 		}
 		if !json.Valid(data) {
 			t.Fatalf("router relayed non-JSON (backend scripted status %d, %d bytes, truncate=%v): %q",
 				st, len(body), tr, data)
 		}
+		code2, data2 := postRouter(t, front.URL, reqBody)
+		if code2 != code || !bytes.Equal(data2, data) {
+			t.Fatalf("repeat answered %d %q, first %d %q (backend scripted status %d, truncate=%v)",
+				code2, data2, code, data, st, tr)
+		}
 	})
+}
+
+// postRouter posts body to the router's /v1/solve and returns the
+// status and the whole response body.
+func postRouter(t *testing.T, base string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("router itself failed to answer: %v", err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading router response: %v", err)
+	}
+	return resp.StatusCode, data
 }

@@ -150,7 +150,7 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
-	resp, m, err := rt.forwardJob(ctx, http.MethodPost, "/v1/jobs", routingKey("jobs", body), body, false)
+	resp, m, err := rt.forwardJob(ctx, http.MethodPost, "/v1/jobs", rt.routingKey("jobs", body), body, false)
 	if err != nil {
 		rt.writeForwardError(w, err)
 		return

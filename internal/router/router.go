@@ -96,6 +96,12 @@ const (
 	DefaultDegradedCacheSize = 512
 )
 
+// instanceKeyMemoSize bounds the router's instance-key memo (raw
+// instance bytes → Instance.Hash): the default result caches of four
+// backends, so every instance a small cluster still holds results for
+// keys without a decode. An entry is ~200 bytes, under 1 MB in all.
+const instanceKeyMemoSize = 4 * 1024
+
 // Config tunes one Router. Backends is required; zero fields get the
 // package defaults.
 type Config struct {
@@ -242,6 +248,7 @@ type Router struct {
 	latency map[string]*hist.Atomic // per-kind success latency, drives hedging
 
 	degraded *cache.Cache[[]byte] // last-good responses by kind+body
+	keys     *core.InstanceKeys   // raw instance bytes → routing key
 
 	requests   atomic.Int64 // HTTP requests accepted by the router
 	proxied    atomic.Int64 // backend requests issued (incl. scatter legs)
@@ -326,6 +333,7 @@ func New(cfg Config) (*Router, error) {
 		start:   time.Now(),
 		rnd:     rand.New(rand.NewSource(cfg.Seed)),
 		latency: map[string]*hist.Atomic{},
+		keys:    core.NewInstanceKeys(instanceKeyMemoSize),
 	}
 	if !cfg.DisableTracing {
 		rt.tracer = obs.NewTracer(obs.TracerConfig{
@@ -503,28 +511,33 @@ func (rt *Router) pickBy(p *pool, key string, alive func(int) bool) int {
 // simulate following its solve) land on the backend already holding
 // the bytes. Anything else, including bodies the backend will reject,
 // keys on the raw bytes: still deterministic, spread by FNV.
-func routingKey(kind string, body []byte) string {
+func (rt *Router) routingKey(kind string, body []byte) string {
 	switch kind {
 	case "solve", "simulate", "jobs":
 		var probe struct {
 			Instance json.RawMessage `json:"instance"`
 		}
 		if json.Unmarshal(body, &probe) == nil && len(probe.Instance) > 0 {
-			if in, err := core.UnmarshalInstance(probe.Instance); err == nil {
-				return in.Hash()
+			if hash, _, err := rt.keys.Key(probe.Instance); err == nil {
+				return hash
 			}
 		}
 	}
-	return "body:" + strconv.FormatUint(hashKey(string(body)), 16)
+	return bodyKey(body)
 }
 
 // instanceKey keys one batch item: the canonical instance hash when
 // the item parses, the raw bytes otherwise.
-func instanceKey(raw json.RawMessage) string {
-	if in, err := core.UnmarshalInstance(raw); err == nil {
-		return in.Hash()
+func (rt *Router) instanceKey(raw json.RawMessage) string {
+	if hash, _, err := rt.keys.Key(raw); err == nil {
+		return hash
 	}
-	return "body:" + strconv.FormatUint(hashKey(string(raw)), 16)
+	return bodyKey(raw)
+}
+
+// bodyKey is the routing key of bytes that carry no instance.
+func bodyKey(b []byte) string {
+	return "body:" + strconv.FormatUint(hashKey(string(b)), 16)
 }
 
 // errNoBackend is the all-evicted outcome: 503, distinct from the
@@ -540,7 +553,7 @@ func unusable(resp *client.Response) bool {
 	if resp.Status == http.StatusBadGateway || resp.Status == http.StatusServiceUnavailable {
 		return true
 	}
-	return resp.Status < 300 && !json.Valid(resp.Body)
+	return resp.Status < 300 && !resp.ValidJSON()
 }
 
 // sendOne issues one attempt to m, bounded by perAttempt when
@@ -673,7 +686,7 @@ func (rt *Router) proxyHandler(kind string) http.HandlerFunc {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		resp, m, err := rt.forwardHedged(ctx, kind, routingKey(kind, body), body)
+		resp, m, err := rt.forwardHedged(ctx, kind, rt.routingKey(kind, body), body)
 		if err == nil && !unusable(resp) {
 			if resp.Status == http.StatusOK {
 				rt.degradedPut(kind, body, resp.Body)
@@ -700,7 +713,7 @@ func (rt *Router) proxyHandler(kind string) http.HandlerFunc {
 // energyschedd) becomes a 502 envelope instead of being passed
 // through.
 func (rt *Router) relay(w http.ResponseWriter, resp *client.Response, m *member) {
-	if !json.Valid(resp.Body) {
+	if !resp.ValidJSON() {
 		rt.badGateway.Add(1)
 		rt.writeError(w, http.StatusBadGateway,
 			fmt.Sprintf("backend %s returned invalid JSON (status %d)", m.url, resp.Status))
@@ -772,7 +785,7 @@ func (rt *Router) handleSolvers(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		resp, err := m.client.Get(ctx, "/v1/solvers")
-		if err != nil || !json.Valid(resp.Body) {
+		if err != nil || !resp.ValidJSON() {
 			continue
 		}
 		rt.relay(w, resp, m)

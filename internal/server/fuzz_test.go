@@ -15,8 +15,10 @@ import (
 // bodies — malformed JSON, out-of-range weights, zero-task instances,
 // absurd options — must always produce an HTTP response (never a
 // panic), always valid JSON, and 4xx for anything that is not a
-// solvable instance. The tiny SolveTimeout bounds the damage of a
-// fuzzer-built instance that actually dispatches a solver.
+// solvable instance. Every input is sent twice: the second request is
+// an instance-key memo hit and must get the first's status and body
+// bytes. The tiny SolveTimeout bounds the damage of a fuzzer-built
+// instance that actually dispatches a solver.
 func FuzzSolveHandler(f *testing.F) {
 	f.Add([]byte(`{"instance":` + chainInstance + `}`))
 	f.Add([]byte(`{"instance":` + chainInstance + `,"solver":"continuous-convex","roundUpK":5}`))
@@ -41,9 +43,16 @@ func FuzzSolveHandler(f *testing.F) {
 	h := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req) // a panic here fails the fuzz run
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body))) // a panic here fails the fuzz run
+		again := httptest.NewRecorder()
+		h.ServeHTTP(again, httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body)))
+		// A 504 depends on the wall clock, not the input.
+		if rec.Code != 504 && again.Code != 504 &&
+			(again.Code != rec.Code || !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes())) {
+			t.Fatalf("repeat answered %d %q, first %d %q\ninput: %q",
+				again.Code, again.Body.Bytes(), rec.Code, rec.Body.Bytes(), body)
+		}
 		if rec.Code != 200 && (rec.Code < 400 || rec.Code > 599) {
 			t.Fatalf("status %d outside {200, 4xx, 5xx}\ninput: %q", rec.Code, body)
 		}
@@ -145,7 +154,9 @@ func FuzzSweepHandler(f *testing.F) {
 
 // FuzzBatchHandler gives the batch ingest path the same treatment; a
 // whole-batch request must degrade to per-item errors, never a panic
-// or a non-JSON response.
+// or a non-JSON response. The repeat of every input must get the same
+// status and, item by item, the same result bytes and error text; only
+// the cache-disposition fields ("cached", "cacheHits") may differ.
 func FuzzBatchHandler(f *testing.F) {
 	f.Add([]byte(`{"instances":[` + chainInstance + `]}`))
 	f.Add([]byte(`{"instances":[{"tasks":[]},` + chainInstance + `],"workers":2}`))
@@ -161,14 +172,42 @@ func FuzzBatchHandler(f *testing.F) {
 	h := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body)))
 		if rec.Code != 200 && (rec.Code < 400 || rec.Code > 599) {
 			t.Fatalf("status %d outside {200, 4xx, 5xx}\ninput: %q", rec.Code, body)
 		}
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("response is not valid JSON: %q\ninput: %q", rec.Body.Bytes(), body)
+		}
+		again := httptest.NewRecorder()
+		h.ServeHTTP(again, httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body)))
+		if again.Code != rec.Code {
+			t.Fatalf("repeat answered %d, first %d\ninput: %q", again.Code, rec.Code, body)
+		}
+		if rec.Code != 200 {
+			if !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+				t.Fatalf("repeat answered %q, first %q\ninput: %q", again.Body.Bytes(), rec.Body.Bytes(), body)
+			}
+			return
+		}
+		type item struct {
+			Result json.RawMessage `json:"result"`
+			Error  string          `json:"error"`
+		}
+		var first, second struct{ Items []item }
+		if json.Unmarshal(rec.Body.Bytes(), &first) != nil || json.Unmarshal(again.Body.Bytes(), &second) != nil ||
+			len(first.Items) != len(second.Items) {
+			t.Fatalf("batch answers do not pair up: %q vs %q\ninput: %q", rec.Body.Bytes(), again.Body.Bytes(), body)
+		}
+		for i := range first.Items {
+			a, b := first.Items[i], second.Items[i]
+			if strings.HasPrefix(a.Error, "timeout: ") || strings.HasPrefix(b.Error, "timeout: ") {
+				continue // a timeout depends on the wall clock, not the input
+			}
+			if a.Error != b.Error || !bytes.Equal(a.Result, b.Result) {
+				t.Fatalf("item %d: repeat %+v, first %+v\ninput: %q", i, b, a, body)
+			}
 		}
 	})
 }

@@ -224,11 +224,11 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
-// handleSolve serves POST /v1/solve: unmarshal, then run the
-// serveCached pipeline (priority-lane cache hit, singleflight
-// coalescing, admission-controlled solve). The response body is
-// core.MarshalResult JSON, byte-cached so a hit costs no solver or
-// encoder work.
+// handleSolve serves POST /v1/solve: key the instance through the
+// instance-key memo, then run the serveCached pipeline (priority-lane
+// cache hit, singleflight coalescing, admission-controlled solve). The
+// response body is core.MarshalResult JSON, byte-cached so a hit costs
+// no instance decode, solver or encoder work.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, err := s.readBody(w, r)
 	if err != nil {
@@ -244,7 +244,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, `request is missing "instance"`)
 		return
 	}
-	in, err := core.UnmarshalInstance(req.Instance)
+	hash, in, err := s.keys.Key(req.Instance)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -254,11 +254,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeHTTPError(w, err)
 		return
 	}
-	key := in.Hash() + "|" + cfg.Fingerprint()
+	key := hash + "|" + cfg.Fingerprint()
 	s.serveCached(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+		in, err := decoded(in, req.Instance)
+		if err != nil {
+			return nil, err
+		}
 		_, out, err := s.solveCached(ctx, in, opts, key)
 		return out, err
 	})
+}
+
+// decoded returns in, or — when an instance-key memo hit left it nil
+// — raw decoded now. Only a result-cache miss needs the instance, so a
+// repeat request served from the cache never decodes it at all.
+func decoded(in *core.Instance, raw []byte) (*core.Instance, error) {
+	if in != nil {
+		return in, nil
+	}
+	in, err := core.UnmarshalInstance(raw)
+	if err != nil {
+		return nil, &httpError{status: http.StatusBadRequest, msg: err.Error()}
+	}
+	return in, nil
 }
 
 type batchRequest struct {
@@ -317,12 +335,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dups := map[int][]int{}       // slot → additional item indices sharing its key
 	for i, raw := range req.Instances {
 		resp.Items[i].Index = i
-		in, err := core.UnmarshalInstance(raw)
+		hash, in, err := s.keys.Key(raw)
 		if err != nil {
 			resp.Items[i].Error = err.Error()
 			continue
 		}
-		keys[i] = in.Hash() + "|" + fp
+		keys[i] = hash + "|" + fp
 		if out, ok := s.cache.Get(keys[i]); ok {
 			resp.Items[i].Result = out
 			resp.Items[i].Cached = true
@@ -331,6 +349,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if slot, ok := slotByKey[keys[i]]; ok {
 			dups[slot] = append(dups[slot], i)
+			continue
+		}
+		if in, err = decoded(in, raw); err != nil {
+			resp.Items[i].Error = err.Error()
 			continue
 		}
 		slotByKey[keys[i]] = len(toSolve)

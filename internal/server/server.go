@@ -14,7 +14,9 @@
 //
 // Solved results are memoized in a sharded LRU keyed by
 // (core.Instance.Hash, core.Config.Fingerprint), so repeated instances
-// skip the solver entirely. Every request runs under a wall-time cap,
+// skip the solver entirely; a core.InstanceKeys memo of the same
+// capacity maps the raw instance bytes to that hash, so a repeat does
+// not even decode its instance. Every request runs under a wall-time cap,
 // solver work is bounded by a global in-flight semaphore, and the
 // service drains gracefully through the standard http.Server.Shutdown
 // path (handlers observe the request context, which the semaphore and
@@ -72,7 +74,7 @@ const (
 // the package defaults.
 type Config struct {
 	// CacheSize is the result cache capacity in entries (default
-	// DefaultCacheSize).
+	// DefaultCacheSize); the instance-key memo holds as many entries.
 	CacheSize int
 	// MaxInFlight caps the number of requests executing solvers at
 	// once; excess requests queue on the semaphore until a slot frees
@@ -143,6 +145,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	cache   *cache.Cache[[]byte]
+	keys    *core.InstanceKeys // raw instance bytes → Instance.Hash
 	sem     chan struct{}
 	mux     *http.ServeMux
 	start   time.Time
@@ -204,6 +207,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache.New[[]byte](cfg.CacheSize),
+		keys:    core.NewInstanceKeys(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"energysched/internal/core"
 	"energysched/internal/obs"
 	"energysched/internal/sim"
 )
@@ -89,7 +88,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	in, err := core.UnmarshalInstance(req.Instance)
+	hash, in, err := s.keys.Key(req.Instance)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -99,10 +98,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeHTTPError(w, err)
 		return
 	}
-	solveKey := in.Hash() + "|" + cfg.Fingerprint()
+	solveKey := hash + "|" + cfg.Fingerprint()
 	key := fmt.Sprintf("%s|sim|t=%d,s=%d,p=%s,wc=%t",
 		solveKey, trials, seed, policy, req.WorstCase)
 	s.serveCached(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+		in, err := decoded(in, req.Instance)
+		if err != nil {
+			return nil, err
+		}
 		res, resJSON, err := s.solveCached(ctx, in, opts, solveKey)
 		if err != nil {
 			return nil, err
