@@ -22,7 +22,6 @@ import (
 	"energysched/internal/dag"
 	"energysched/internal/discrete"
 	"energysched/internal/experiments"
-	"energysched/internal/faultsim"
 	"energysched/internal/listsched"
 	"energysched/internal/lp"
 	"energysched/internal/model"
@@ -252,25 +251,6 @@ func BenchmarkScheduleValidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Validate(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFaultSim10kTrials(b *testing.B) {
-	g := dag.IndependentGraph(4, 2, 3)
-	mp := platform.OneTaskPerProcessor(g)
-	s, err := schedule.FromSpeeds(g, mp, []float64{0.4, 0.5, 0.6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel := model.Reliability{Lambda0: 0.002, Sensitivity: 3, FMin: 0.1, FMax: 1}
-	sim := faultsim.NewSimulator()
-	var st faultsim.Stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sim.SimulateInto(&st, s, rel, 10000, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,10 +11,11 @@
 //     (core.Solve with StrategyChainFirst),
 //   - a no-re-execution baseline (every task at frel or faster),
 //
-// then injects faults to show the reliability constraint is really
-// met, and finally *executes* the schedule on the discrete-event
-// simulator (internal/sim) to compare the solver's predictions with
-// observed energy, makespan and success rate under live recovery.
+// then replays the schedule under injected faults on the
+// discrete-event simulator (internal/sim) to show each task's
+// reliability constraint is really met, and finally *executes* it with
+// live recovery to compare the solver's predictions with observed
+// energy, makespan and success rate.
 //
 // Run: go run ./examples/chainreexec
 package main
@@ -26,7 +27,6 @@ import (
 
 	"energysched/internal/core"
 	"energysched/internal/dag"
-	"energysched/internal/faultsim"
 	"energysched/internal/model"
 	"energysched/internal/platform"
 	"energysched/internal/sim"
@@ -81,25 +81,48 @@ func main() {
 	}
 	fmt.Println(t)
 
-	// Fault injection on the loosest-deadline exact schedule.
+	// Fault injection on the loosest-deadline exact schedule, replayed
+	// exactly as the solver accounted it (every scheduled execution
+	// runs): the recorded traces give, per task, the first-execution
+	// failures and the trials in which some execution succeeded.
 	res, err := core.Solve(ctx, instance(sum*16), core.WithStrategy(core.StrategyExact))
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats, err := faultsim.SimulateSchedule(res.Schedule, rel, 100000, 42)
+	const trials = 100000
+	replay, err := sim.NewRunner(instance(sum*16), res.Schedule, sim.Options{Seed: 42, WorstCase: true, Record: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fault injection (%d trials at the instance's own rate):\n", stats.Trials)
-	fmt.Printf("  schedule success rate: %.4f\n", stats.ScheduleSuccess)
-	for i, ok := range stats.TaskSuccess {
+	n := len(weights)
+	succeeded, firstFailures := make([]int, n), make([]int, n)
+	done := make([]bool, n)
+	var tr sim.Trace
+	for trial := 0; trial < trials; trial++ {
+		replay.Run(trial, &tr)
+		clear(done)
+		for _, ev := range tr.Events {
+			if ev.Kind != sim.EventFinish.String() {
+				continue
+			}
+			switch {
+			case ev.Failed && ev.Attempt == 0:
+				firstFailures[ev.Task]++
+			case !ev.Failed && !done[ev.Task]:
+				done[ev.Task] = true
+				succeeded[ev.Task]++
+			}
+		}
+	}
+	fmt.Printf("fault injection (%d trials at the instance's own rate):\n", trials)
+	for i := range weights {
 		mark := " "
 		if res.Schedule.Tasks[i].ReExecuted() {
 			mark = "re-executed"
 		}
 		threshold := 1 - rel.FailureProb(weights[i], frel)
 		fmt.Printf("  task %d: success %.4f (threshold %.4f), first-exec failures %d %s\n",
-			i, ok, threshold, stats.FirstExecFailures[i], mark)
+			i, float64(succeeded[i])/trials, threshold, firstFailures[i], mark)
 	}
 
 	// Discrete-event execution: run the same schedule 100k times on the

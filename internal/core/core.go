@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -141,42 +140,4 @@ func ParseStrategy(s string) (Strategy, error) {
 	default:
 		return 0, fmt.Errorf("core: unknown strategy %q", s)
 	}
-}
-
-// SolveBiCrit solves the BI-CRIT problem with the algorithm matching
-// the instance's speed model.
-//
-// Deprecated: use Solve, which dispatches through the solver registry
-// and adds context cancellation, options, and diagnostics.
-func SolveBiCrit(in *Instance) (*Solution, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if in.TriCrit() {
-		return nil, errors.New("core: instance has reliability constraints; use SolveTriCrit")
-	}
-	res, err := Solve(context.Background(), in)
-	if err != nil {
-		return nil, err
-	}
-	return &res.Solution, nil
-}
-
-// SolveTriCrit solves the TRI-CRIT problem with the given strategy.
-//
-// Deprecated: use Solve with WithStrategy, which dispatches through
-// the solver registry and adds context cancellation, options, and
-// diagnostics.
-func SolveTriCrit(in *Instance, strat Strategy) (*Solution, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if !in.TriCrit() {
-		return nil, errors.New("core: instance has no reliability constraints; use SolveBiCrit")
-	}
-	res, err := Solve(context.Background(), in, WithStrategy(strat))
-	if err != nil {
-		return nil, err
-	}
-	return &res.Solution, nil
 }

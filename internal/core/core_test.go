@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func contInstance(deadline float64) *Instance {
 
 func TestSolveBiCritContinuous(t *testing.T) {
 	in := contInstance(2)
-	sol, err := SolveBiCrit(in)
+	sol, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestSolveBiCritVdd(t *testing.T) {
 	mp, _ := platform.SingleProcessor(g)
 	sm, _ := model.NewVddHopping([]float64{0.5, 1, 2})
 	in := &Instance{Graph: g, Mapping: mp, Speed: sm, Deadline: 4}
-	sol, err := SolveBiCrit(in)
+	sol, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSolveBiCritDiscreteExactVsApprox(t *testing.T) {
 	mp, _ := platform.SingleProcessor(small)
 	sm, _ := model.NewDiscrete(model.XScaleLevels())
 	in := &Instance{Graph: small, Mapping: mp, Speed: sm, Deadline: 10}
-	sol, err := SolveBiCrit(in)
+	sol, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSolveBiCritDiscreteExactVsApprox(t *testing.T) {
 	big := dag.ChainGraph(ws...)
 	mpB, _ := platform.SingleProcessor(big)
 	inB := &Instance{Graph: big, Mapping: mpB, Speed: sm, Deadline: 120}
-	solB, err := SolveBiCrit(inB)
+	solB, err := Solve(context.Background(), inB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,18 +88,8 @@ func TestSolveBiCritDiscreteExactVsApprox(t *testing.T) {
 func TestSolveBiCritInfeasible(t *testing.T) {
 	in := contInstance(0.1)
 	in.Speed, _ = model.NewContinuous(0.05, 1)
-	if _, err := SolveBiCrit(in); err != ErrInfeasible {
+	if _, err := Solve(context.Background(), in); err != ErrInfeasible {
 		t.Errorf("err = %v, want ErrInfeasible", err)
-	}
-}
-
-func TestSolveBiCritRejectsTriCritInstance(t *testing.T) {
-	in := contInstance(5)
-	rel := model.DefaultReliability(in.Speed.FMin, in.Speed.FMax)
-	in.Rel = &rel
-	in.FRel = 0.8
-	if _, err := SolveBiCrit(in); err == nil {
-		t.Error("tri-crit instance accepted by SolveBiCrit")
 	}
 }
 
@@ -113,7 +104,7 @@ func triInstance(deadline float64) *Instance {
 func TestSolveTriCritAllStrategies(t *testing.T) {
 	for _, strat := range []Strategy{StrategyBestOf, StrategyChainFirst, StrategyParallelFirst, StrategyExact} {
 		in := triInstance(15)
-		sol, err := SolveTriCrit(in, strat)
+		sol, err := Solve(context.Background(), in, WithStrategy(strat))
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -126,7 +117,7 @@ func TestSolveTriCritAllStrategies(t *testing.T) {
 func TestSolveTriCritVddAdaptation(t *testing.T) {
 	in := triInstance(15)
 	in.Speed, _ = model.NewVddHopping([]float64{0.1, 0.3, 0.5, 0.8, 1.0})
-	sol, err := SolveTriCrit(in, StrategyBestOf)
+	sol, err := Solve(context.Background(), in, WithStrategy(StrategyBestOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +126,7 @@ func TestSolveTriCritVddAdaptation(t *testing.T) {
 	}
 	// The adaptation can only lose energy versus the continuous result.
 	inC := triInstance(15)
-	solC, err := SolveTriCrit(inC, StrategyBestOf)
+	solC, err := Solve(context.Background(), inC, WithStrategy(StrategyBestOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +138,8 @@ func TestSolveTriCritVddAdaptation(t *testing.T) {
 func TestSolveTriCritRejectsDiscrete(t *testing.T) {
 	in := triInstance(15)
 	in.Speed, _ = model.NewDiscrete([]float64{0.5, 1})
-	if _, err := SolveTriCrit(in, StrategyBestOf); err == nil {
+	if _, err := Solve(context.Background(), in, WithStrategy(StrategyBestOf)); err == nil {
 		t.Error("DISCRETE tri-crit accepted")
-	}
-}
-
-func TestSolveTriCritRejectsBiCritInstance(t *testing.T) {
-	in := contInstance(5)
-	if _, err := SolveTriCrit(in, StrategyBestOf); err == nil {
-		t.Error("bi-crit instance accepted by SolveTriCrit")
 	}
 }
 
@@ -212,11 +196,11 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("reliability lost")
 	}
 	// Both instances must solve to the same energy.
-	a, err := SolveTriCrit(in, StrategyChainFirst)
+	a, err := Solve(context.Background(), in, WithStrategy(StrategyChainFirst))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveTriCrit(back, StrategyChainFirst)
+	b, err := Solve(context.Background(), back, WithStrategy(StrategyChainFirst))
 	if err != nil {
 		t.Fatal(err)
 	}

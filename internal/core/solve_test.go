@@ -205,9 +205,8 @@ func TestWithRoundUpKTightensApproximation(t *testing.T) {
 // --- Solve: auto-dispatch matrix ---
 
 // TestSolveDispatchMatrix checks that Solve covers every (speed model
-// × problem kind) combination the old two-entry-point API supported,
-// with the same solver selection and, via the deprecated wrappers, the
-// same energies.
+// × problem kind) combination and selects the expected solver for
+// each.
 func TestSolveDispatchMatrix(t *testing.T) {
 	ctx := context.Background()
 	chain := dag.ChainGraph(1, 2, 3)
@@ -236,13 +235,6 @@ func TestSolveDispatchMatrix(t *testing.T) {
 		}
 		if res.Solver != c.solver || res.Exact != c.exact {
 			t.Errorf("%v: solver %q exact=%v, want %q exact=%v", c.sm.Kind, res.Solver, res.Exact, c.solver, c.exact)
-		}
-		old, err := SolveBiCrit(in)
-		if err != nil {
-			t.Fatalf("%v legacy: %v", c.sm.Kind, err)
-		}
-		if math.Abs(res.Energy-old.Energy)/old.Energy > 1e-12 {
-			t.Errorf("%v: Solve energy %v != legacy energy %v", c.sm.Kind, res.Energy, old.Energy)
 		}
 	}
 
@@ -283,13 +275,6 @@ func TestSolveDispatchMatrix(t *testing.T) {
 			}
 			if res.Method != wantMethod {
 				t.Errorf("%v/%v: method %q, want %q", strat, sm.Kind, res.Method, wantMethod)
-			}
-			old, err := SolveTriCrit(in, strat)
-			if err != nil {
-				t.Fatalf("%v/%v legacy: %v", strat, sm.Kind, err)
-			}
-			if math.Abs(res.Energy-old.Energy)/old.Energy > 1e-12 {
-				t.Errorf("%v/%v: Solve energy %v != legacy energy %v", strat, sm.Kind, res.Energy, old.Energy)
 			}
 		}
 	}

@@ -11,11 +11,11 @@ import (
 	"energysched/internal/core"
 	"energysched/internal/dag"
 	"energysched/internal/discrete"
-	"energysched/internal/faultsim"
 	"energysched/internal/listsched"
 	"energysched/internal/model"
 	"energysched/internal/platform"
 	"energysched/internal/schedule"
+	"energysched/internal/sim"
 	"energysched/internal/tabulate"
 	"energysched/internal/tricrit"
 	"energysched/internal/vdd"
@@ -291,7 +291,9 @@ func E12HeuristicSweep() *Report {
 
 // E13FaultSim reproduces claim C13 (the paper's motivation): DVFS
 // degrades reliability — the Monte-Carlo injector matches Eq. (1), and
-// re-execution restores the threshold.
+// re-execution restores the threshold. Each speed runs a one-task
+// schedule through an abort-policy simulator campaign, so the
+// empirical failure rate is the campaign's failure rate.
 func E13FaultSim() *Report {
 	t := tabulate.New("E13 (C13) — fault injection vs Eq. (1)",
 		"speed", "analytic_fail", "empirical_fail", "abs_err", "reexec_fail")
@@ -299,12 +301,31 @@ func E13FaultSim() *Report {
 	rel := model.Reliability{Lambda0: 0.002, Sensitivity: 3, FMin: 0.1, FMax: 1}
 	w := 3.0
 	trials := 200000
+	g := dag.IndependentGraph(w)
+	mp, err := platform.SingleProcessor(g)
+	if err != nil {
+		panic(err)
+	}
+	sm, err := model.NewContinuous(rel.FMin, rel.FMax)
+	if err != nil {
+		panic(err)
+	}
 	worst := 0.0
 	prevFail := -1.0
 	monotone := true
 	for i, f := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
 		analytic := rel.FailureProb(w, f)
-		emp := faultsim.EmpiricalFailureRate(rel, w, f, trials, int64(113+i))
+		s, err := schedule.FromSpeeds(g, mp, []float64{f})
+		if err != nil {
+			panic(err)
+		}
+		in := &core.Instance{Graph: g, Mapping: mp, Speed: sm, Deadline: w / f, Rel: &rel, FRel: f}
+		camp, err := sim.RunCampaign(context.Background(), in, s,
+			sim.CampaignOptions{Trials: trials, Seed: int64(113 + i), Policy: sim.PolicyAbort})
+		if err != nil {
+			panic(err)
+		}
+		emp := 1 - camp.SuccessRate
 		if e := math.Abs(emp - analytic); e > worst {
 			worst = e
 		}

@@ -1,11 +1,10 @@
-// Package rng provides the counter-split splitmix64 streams shared by
-// the repository's Monte-Carlo components (faultsim's injector and
-// sim's discrete-event campaigns). The generator is cheap,
-// allocation-free and splittable: any (seed, index) pair addresses an
-// independent stream by pure arithmetic, without generating the
-// preceding ones — which is what makes seeded campaigns both
-// reproducible and trivially parallelizable (workers jump straight to
-// their trials' streams).
+// Package rng provides the counter-split splitmix64 streams of the
+// repository's Monte-Carlo fault injection (sim's discrete-event
+// campaigns). The generator is cheap, allocation-free and splittable:
+// any (seed, index) pair addresses an independent stream by pure
+// arithmetic, without generating the preceding ones — which is what
+// makes seeded campaigns both reproducible and trivially
+// parallelizable (workers jump straight to their trials' streams).
 package rng
 
 // Stream is a splitmix64 PRNG state. The zero value is a valid stream
@@ -15,9 +14,9 @@ type Stream uint64
 
 // golden64 is the splitmix64 state increment (2⁶⁴/φ) and seedScramble
 // decorrelates consecutive stream indices; both constants are fixed by
-// the published splitmix64 algorithm and the historical faultsim
-// implementation — changing them would silently reshuffle every seeded
-// campaign in the repository.
+// the published splitmix64 algorithm and the stream derivation of the
+// repository's first fault injector (since retired) — changing them
+// would silently reshuffle every seeded campaign in the repository.
 const (
 	golden64     = 0x9e3779b97f4a7c15
 	seedScramble = 0x2545f4914f6cdd1d

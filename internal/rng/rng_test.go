@@ -26,10 +26,10 @@ func TestStreamMatchesReferenceSplitmix64(t *testing.T) {
 }
 
 // TestAtMatchesHistoricalFaultsimStreams pins the (seed, trial) stream
-// derivation to the formula faultsim used before the extraction into
-// this package: root = splitmix64(seed·φ64) advanced once, trial
-// stream = root + trial·0x2545f4914f6cdd1d. Every committed campaign
-// seed depends on this exact mapping.
+// derivation to the formula of the retired internal/faultsim injector,
+// from which this package was extracted: root = splitmix64(seed·φ64)
+// advanced once, trial stream = root + trial·0x2545f4914f6cdd1d. Every
+// committed campaign seed depends on this exact mapping.
 func TestAtMatchesHistoricalFaultsimStreams(t *testing.T) {
 	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
 		for _, trial := range []int{0, 1, 2, 999, 1 << 20} {

@@ -92,17 +92,6 @@ func (rt *Router) collectBackends(read func(*member) float64, field string) func
 	}
 }
 
-// routerLatencySecondsBounds is hist.LatencyBounds converted once from
-// nanoseconds to the seconds /metrics speaks.
-var routerLatencySecondsBounds = func() []float64 {
-	ns := hist.LatencyBounds()
-	secs := make([]float64, len(ns))
-	for i, b := range ns {
-		secs[i] = b / 1e9
-	}
-	return secs
-}()
-
 // collectLatency emits one histogram series per request kind, reading
 // the same hist.Atomic state hedgeDelay derives its p99 from.
 func (rt *Router) collectLatency(emit func(obs.HistSample)) {
@@ -121,7 +110,7 @@ func (rt *Router) collectLatency(emit func(obs.HistSample)) {
 		count, sumNs, counts := hists[i].Snapshot()
 		emit(obs.HistSample{
 			Labels: []obs.Label{{Key: "kind", Value: kind}},
-			Bounds: routerLatencySecondsBounds,
+			Bounds: hist.LatencySecondsBounds(),
 			Counts: counts,
 			Count:  count,
 			Sum:    float64(sumNs) / 1e9,

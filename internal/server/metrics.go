@@ -95,17 +95,6 @@ func (s *Server) newRegistry() *obs.Registry {
 	return r
 }
 
-// latencySecondsBounds is hist.LatencyBounds converted once from
-// nanoseconds to the seconds /metrics speaks.
-var latencySecondsBounds = func() []float64 {
-	ns := hist.LatencyBounds()
-	secs := make([]float64, len(ns))
-	for i, b := range ns {
-		secs[i] = b / 1e9
-	}
-	return secs
-}()
-
 // collect emits one histogram series per tracked solver, reading the
 // same hist.Atomic state the /stats latency block snapshots.
 func (lt *latencyTracker) collect(emit func(obs.HistSample)) {
@@ -119,7 +108,7 @@ func (lt *latencyTracker) collect(emit func(obs.HistSample)) {
 		count, sumNs, counts := lt.m[name].Snapshot()
 		emit(obs.HistSample{
 			Labels:  []obs.Label{{Key: "solver", Value: name}},
-			Bounds:  latencySecondsBounds,
+			Bounds:  hist.LatencySecondsBounds(),
 			Counts:  counts,
 			Count:   count,
 			Sum:     float64(sumNs) / 1e9,

@@ -1,10 +1,11 @@
 // Campaign runner: Monte-Carlo outcome distributions over many
-// seeded trials of one (instance, schedule) pair, executed on a
-// worker pool with a deterministic merge — like core.SolveAll, the
-// aggregate is bit-identical whatever the worker count, because
-// workers only fill per-trial slots and a single sequential pass in
-// trial order does every floating-point reduction (summaries and the
-// energy/makespan outcome histograms alike).
+// seeded trials of one (instance, schedule) pair. Every campaign runs
+// on the one worker pool of the chunked engine (chunked.go) with a
+// deterministic merge — like core.SolveAll, the aggregate is
+// bit-identical whatever the worker count, because workers only fill
+// per-trial slots and a single sequential pass in trial order does
+// every floating-point reduction (summaries and the energy/makespan
+// outcome histograms alike).
 //
 // The inner loop is built around the fault-free fast path (see
 // Runner.Run): at the reliability targets the paper studies the
@@ -23,21 +24,11 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"energysched/internal/core"
 	"energysched/internal/hist"
 	"energysched/internal/schedule"
 )
-
-// chunk is the number of consecutive trials a worker claims at once:
-// large enough to amortize the atomic claim, small enough to balance
-// tail latency.
-const chunk = 64
 
 // MaxCampaignTrials caps the campaign size a single request may ask
 // for — shared by cmd/energysim's -trials validation and the
@@ -219,159 +210,24 @@ func newTrialSlot(o *Outcome) trialSlot {
 	}
 }
 
-// campaignScratch is the reusable campaign state a Runner retains
-// across RunCampaign calls: worker clones with slab-allocated
-// per-trial scratch, per-worker traces, the trial-slot array and the
-// outcome histograms. It grows monotonically — a campaign needing
-// more workers or trials than any before it reallocates, every other
-// campaign reuses.
-type campaignScratch struct {
-	clones []*Runner
-	traces []Trace
-	slots  []trialSlot
-	eHist  *hist.Histogram
-	mHist  *hist.Histogram
-}
-
-// campaignScratchFor returns the runner's campaign scratch, grown to
-// hold workers goroutines and trials slots. Worker 0 is the base
-// runner itself; clones cover the rest, with each scratch type
-// allocated as one slab sliced across the clones.
-func (r *Runner) campaignScratchFor(workers, trials int) *campaignScratch {
-	cs := r.camp
-	if cs == nil {
-		cs = &campaignScratch{
-			eHist: hist.New(hist.OutcomeBounds()),
-			mHist: hist.New(hist.OutcomeBounds()),
-		}
-		r.camp = cs
-	}
-	if need := workers - 1; len(cs.clones) < need {
-		n := len(r.first)
-		hc := cap(r.heap)
-		slab := make([]Runner, need)
-		indeg := make([]int32, need*n)
-		done := make([]bool, need*n)
-		xs := make([]uint64, 2*need*n)
-		heaps := make([]event, need*hc)
-		clones := make([]*Runner, need)
-		for w := 0; w < need; w++ {
-			c := &slab[w]
-			// Same table sharing as Clone, scratch carved from slabs.
-			*c = *r
-			c.camp = nil
-			c.indeg = indeg[w*n : (w+1)*n]
-			c.done = done[w*n : (w+1)*n]
-			c.x = xs[2*w*n : 2*(w+1)*n]
-			c.heap = heaps[w*hc : w*hc : (w+1)*hc]
-			clones[w] = c
-		}
-		cs.clones = clones
-	}
-	if len(cs.traces) < workers {
-		cs.traces = make([]Trace, workers)
-	}
-	if cap(cs.slots) < trials {
-		cs.slots = make([]trialSlot, trials)
-	}
-	cs.slots = cs.slots[:trials]
-	return cs
-}
-
 // RunCampaign executes trials seeded runs of the runner's schedule
-// under its Options (seed, policy, worst-case, fault injection) on a
-// worker pool and aggregates the outcome distribution. Trial t always
-// draws from stream (Seed, t), and the reduction runs sequentially in
-// trial order after the pool drains, so the returned Campaign is
-// bit-identical across worker counts. workers <= 0 defaults to
+// under its Options (seed, policy, worst-case, fault injection) and
+// aggregates the outcome distribution. It is the chunked engine
+// (RunCampaignChunked) at the default chunk size with no stopping
+// rule and no resume, minus the chunked-only reporting fields, so
+// trial t always draws from stream (Seed, t) and the returned Campaign
+// is bit-identical across worker counts. workers <= 0 defaults to
 // GOMAXPROCS. The runner retains its campaign scratch, so repeated
-// campaigns on one Runner allocate only the returned Campaign and its
-// histogram snapshots. Cancelling the context aborts the campaign
-// with the context's error.
+// campaigns on one Runner allocate only the pool's goroutines and
+// channel, the returned Campaign and its histogram snapshots.
+// Cancelling the context aborts the campaign with the context's error.
 func (r *Runner) RunCampaign(ctx context.Context, trials, workers int) (*Campaign, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if trials <= 0 {
-		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := (trials + chunk - 1) / chunk; workers > max {
-		workers = max
-	}
-	cs := r.campaignScratchFor(workers, trials)
-	slots := cs.slots
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	trialsStart := time.Now()
-	for w := 0; w < workers; w++ {
-		rn := r
-		if w > 0 {
-			rn = cs.clones[w-1]
-		}
-		rn.fastServed = 0
-		go campaignWorker(ctx, rn, &cs.traces[w], slots, &next, &wg)
-	}
-	wg.Wait()
-	trialsNs := time.Since(trialsStart).Nanoseconds()
-	if err := ctx.Err(); err != nil {
+	c, err := r.RunCampaignChunked(ctx, ChunkedOptions{Trials: trials, Workers: workers})
+	if err != nil {
 		return nil, err
 	}
-
-	mergeStart := time.Now()
-	cs.eHist.Reset()
-	cs.mHist.Reset()
-	st := emptyCampaignState()
-	mergeChunk(&st, slots, cs.eHist, cs.mHist)
-	c := r.newCampaign(&st, cs.eHist, cs.mHist)
-	fastServed := r.fastServed
-	for w := 1; w < workers; w++ {
-		fastServed += cs.clones[w-1].fastServed
-	}
-	c.Profile = CampaignProfile{
-		TrialsNs:       trialsNs,
-		MergeNs:        time.Since(mergeStart).Nanoseconds(),
-		FastPathTrials: fastServed,
-		HeapTrials:     int64(trials) - fastServed,
-		Workers:        workers,
-	}
+	c.TrialsRequested, c.StoppedEarly, c.CIHalfWidth = 0, false, 0
 	return c, nil
-}
-
-// campaignWorker drains chunks of trials into their slots until the
-// claim counter runs past the end or the context is cancelled.
-func campaignWorker(ctx context.Context, r *Runner, tr *Trace, slots []trialSlot, next *atomic.Int64, wg *sync.WaitGroup) {
-	defer wg.Done()
-	runClaims(ctx, r, tr, slots, 0, next)
-}
-
-// runClaims is the shared claim loop of the whole-campaign and chunked
-// worker pools: claim chunk-sized runs of slot indices until the
-// counter runs past len(slots) or the context is cancelled, executing
-// trial base+i into slots[i].
-func runClaims(ctx context.Context, r *Runner, tr *Trace, slots []trialSlot, base int, next *atomic.Int64) {
-	n := len(slots)
-	for {
-		lo := int(next.Add(chunk)) - chunk
-		if lo >= n || ctx.Err() != nil {
-			return
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for t := lo; t < hi; t++ {
-			if r.fastTrial(base + t) {
-				slots[t] = r.ffSlot
-				continue
-			}
-			r.heapTrial(base+t, tr)
-			slots[t] = newTrialSlot(&tr.Outcome)
-		}
-	}
 }
 
 // RunCampaign validates the (instance, schedule) pairing, builds a

@@ -1,14 +1,15 @@
-// Chunked campaign execution: the bounded-memory, checkpointable,
-// early-stopping form of RunCampaign. Trials are processed in
-// fixed-size chunks on a persistent worker pool; each chunk's
-// trial-slot array is merged — in trial order, exactly like the
-// whole-campaign merge — into a running CampaignState, so memory is
-// flat at any trial count and the final Campaign is bit-identical to
-// an uninterrupted RunCampaign of the same size. Because trial t owns
-// the counter-split stream (Seed, t) regardless of which process runs
-// it, a campaign resumed from a serialized CampaignState at a chunk
-// boundary is byte-identical to one that never stopped — the property
-// internal/jobs builds crash-safe campaign jobs on.
+// Chunked campaign execution: the one campaign engine. Trials are
+// processed in fixed-size chunks on a worker pool spawned once per
+// campaign; each chunk's trial-slot array is merged, in trial order,
+// into a running CampaignState, so memory is flat at any trial count
+// and the final Campaign does not depend on the chunk size.
+// RunCampaign is this engine at the default chunk size with no
+// stopping rule and no resume; jobs add checkpoints and the stopping
+// rule. Because trial t owns the counter-split stream (Seed, t)
+// regardless of which process runs it, a campaign resumed from a
+// serialized CampaignState at a chunk boundary is byte-identical to
+// one that never stopped — the property internal/jobs builds
+// crash-safe campaign jobs on.
 //
 // On top of the chunk loop sits a sequential-confidence stopping
 // rule: when the Wilson confidence-interval half-width on the
@@ -180,46 +181,145 @@ func WilsonHalfWidth(s, n int, z float64) float64 {
 	return z / (1 + z2/nf) * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
 }
 
-// chunkPool is the persistent worker pool of one chunked campaign:
-// goroutines are spawned once and woken per chunk through a shared
-// token channel, so running another chunk allocates nothing — the
-// property that keeps a 1M-trial campaign's allocations independent
-// of its trial count.
-type chunkPool struct {
-	ctx     context.Context
+// claimSize is the number of consecutive trials a worker claims at
+// once: large enough to amortize the atomic claim, small enough to
+// balance tail latency.
+const claimSize = 64
+
+// campaignScratch is the campaign state a Runner retains across
+// campaigns, and the worker pool every campaign runs on. The
+// per-worker runners (the owning Runner, then clones with
+// slab-allocated per-trial scratch) and traces, the trial-slot array
+// of one chunk and the outcome histograms grow monotonically — a
+// campaign needing more workers or slots than any before it
+// reallocates, every other campaign reuses. The pool state is reset
+// by each campaign: its goroutines are spawned once per campaign and
+// woken per chunk through a shared token channel, so running another
+// chunk allocates nothing — the property that keeps a 1M-trial
+// campaign's allocations independent of its trial count.
+type campaignScratch struct {
 	runners []*Runner // worker w runs runners[w]
 	traces  []Trace
 	slots   []trialSlot // capacity one chunk; re-sliced per chunk
-	base    int         // first trial of the current chunk
+	eHist   *hist.Histogram
+	mHist   *hist.Histogram
+
+	ctx     context.Context
+	workers int
+	base    int // first trial of the current chunk
 	next    atomic.Int64
 	work    chan struct{} // one token per worker per chunk
 	chunkWG sync.WaitGroup
 	exitWG  sync.WaitGroup
 }
 
-func (p *chunkPool) worker(w int) {
-	defer p.exitWG.Done()
-	for range p.work {
-		runClaims(p.ctx, p.runners[w], &p.traces[w], p.slots, p.base, &p.next)
-		p.chunkWG.Done()
+// campaignScratchFor returns the runner's campaign scratch, grown to
+// hold workers runners and slots trial slots. Runner 0 is the base
+// runner itself; clones cover the rest, with each scratch type
+// allocated as one slab sliced across the clones.
+func (r *Runner) campaignScratchFor(workers, slots int) *campaignScratch {
+	cs := r.camp
+	if cs == nil {
+		cs = &campaignScratch{
+			eHist: hist.New(hist.OutcomeBounds()),
+			mHist: hist.New(hist.OutcomeBounds()),
+		}
+		r.camp = cs
+	}
+	if len(cs.runners) < workers {
+		need := workers - 1
+		n := len(r.first)
+		hc := cap(r.heap)
+		slab := make([]Runner, need)
+		indeg := make([]int32, need*n)
+		done := make([]bool, need*n)
+		xs := make([]uint64, 2*need*n)
+		heaps := make([]event, need*hc)
+		runners := make([]*Runner, workers)
+		runners[0] = r
+		for w := 0; w < need; w++ {
+			c := &slab[w]
+			// Same table sharing as Clone, scratch carved from slabs.
+			*c = *r
+			c.camp = nil
+			c.indeg = indeg[w*n : (w+1)*n]
+			c.done = done[w*n : (w+1)*n]
+			c.x = xs[2*w*n : 2*(w+1)*n]
+			c.heap = heaps[w*hc : w*hc : (w+1)*hc]
+			runners[w+1] = c
+		}
+		cs.runners = runners
+	}
+	if len(cs.traces) < workers {
+		cs.traces = make([]Trace, workers)
+	}
+	if cap(cs.slots) < slots {
+		cs.slots = make([]trialSlot, slots)
+	}
+	return cs
+}
+
+// start resets the pool for one campaign and launches its goroutines,
+// one per worker.
+func (cs *campaignScratch) start(ctx context.Context, workers int) {
+	cs.ctx, cs.workers = ctx, workers
+	cs.work = make(chan struct{}, workers)
+	for _, rn := range cs.runners[:workers] {
+		rn.fastServed = 0
+	}
+	cs.exitWG.Add(workers)
+	for w := 0; w < workers; w++ {
+		go cs.worker(w)
 	}
 }
 
-// runChunk executes trials [base, base+count) into p.slots[:count].
-func (p *chunkPool) runChunk(base, count int) {
-	p.base = base
-	p.slots = p.slots[:count]
-	p.next.Store(0)
-	p.chunkWG.Add(len(p.runners))
-	for range p.runners {
-		p.work <- struct{}{}
+func (cs *campaignScratch) worker(w int) {
+	defer cs.exitWG.Done()
+	for range cs.work {
+		cs.runClaims(cs.runners[w], &cs.traces[w])
+		cs.chunkWG.Done()
 	}
-	p.chunkWG.Wait()
 }
 
-func (p *chunkPool) close() {
-	close(p.work)
-	p.exitWG.Wait()
+// runClaims claims claimSize-long runs of slot indices until the
+// counter runs past the chunk or the context is cancelled, executing
+// trial base+i into slots[i].
+func (cs *campaignScratch) runClaims(r *Runner, tr *Trace) {
+	n := len(cs.slots)
+	for {
+		lo := int(cs.next.Add(claimSize)) - claimSize
+		if lo >= n || cs.ctx.Err() != nil {
+			return
+		}
+		hi := min(lo+claimSize, n)
+		for t := lo; t < hi; t++ {
+			if r.fastTrial(cs.base + t) {
+				cs.slots[t] = r.ffSlot
+				continue
+			}
+			r.heapTrial(cs.base+t, tr)
+			cs.slots[t] = newTrialSlot(&tr.Outcome)
+		}
+	}
+}
+
+// runChunk executes trials [base, base+count) into slots[:count].
+func (cs *campaignScratch) runChunk(base, count int) {
+	cs.base = base
+	cs.slots = cs.slots[:count]
+	cs.next.Store(0)
+	cs.chunkWG.Add(cs.workers)
+	for range cs.workers {
+		cs.work <- struct{}{}
+	}
+	cs.chunkWG.Wait()
+}
+
+// stop ends the campaign's goroutines and waits for them to exit.
+func (cs *campaignScratch) stop() {
+	close(cs.work)
+	cs.exitWG.Wait()
+	cs.ctx = nil // the scratch outlives the campaign; do not retain its context
 }
 
 // RunCampaignChunked executes up to opts.Trials seeded runs of the
@@ -263,14 +363,15 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 		return nil, fmt.Errorf("sim: start chunk %d out of range [0, %d]", opts.StartChunk, numChunks)
 	}
 
+	// No chunk holds more than min(cs, trials) trials: size the slots
+	// to that, and give the pool no more workers than it has claims.
+	slots := min(cs, trials)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if max := (cs + chunk - 1) / chunk; workers > max {
-		workers = max
-	}
-	scratch := r.campaignScratchFor(workers, cs)
+	workers = min(workers, (slots+claimSize-1)/claimSize)
+	scratch := r.campaignScratchFor(workers, slots)
 	scratch.eHist.Reset()
 	scratch.mHist.Reset()
 
@@ -303,25 +404,8 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 		return nil, fmt.Errorf("sim: resume state without a start chunk")
 	}
 
-	pool := &chunkPool{
-		ctx:     ctx,
-		runners: make([]*Runner, workers),
-		traces:  scratch.traces[:workers],
-		slots:   scratch.slots[:0],
-		work:    make(chan struct{}, workers),
-	}
-	pool.runners[0] = r
-	for w := 1; w < workers; w++ {
-		pool.runners[w] = scratch.clones[w-1]
-	}
-	for _, rn := range pool.runners {
-		rn.fastServed = 0
-	}
-	pool.exitWG.Add(workers)
-	for w := 0; w < workers; w++ {
-		go pool.worker(w)
-	}
-	defer pool.close()
+	scratch.start(ctx, workers)
+	defer scratch.stop()
 
 	stopEligible := func() bool {
 		return opts.Epsilon > 0 && st.TrialsRun >= minTrials &&
@@ -339,12 +423,12 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 		if base+count > trials {
 			count = trials - base
 		}
-		pool.runChunk(base, count)
+		scratch.runChunk(base, count)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		mergeStart := time.Now()
-		mergeChunk(&st, pool.slots, scratch.eHist, scratch.mHist)
+		mergeChunk(&st, scratch.slots, scratch.eHist, scratch.mHist)
 		mergeNs += time.Since(mergeStart).Nanoseconds()
 		if opts.OnChunk != nil {
 			snap := st
@@ -365,7 +449,7 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 	c.StoppedEarly = st.TrialsRun < trials
 	c.CIHalfWidth = WilsonHalfWidth(st.Successes, st.TrialsRun, z)
 	var fastServed int64
-	for _, rn := range pool.runners {
+	for _, rn := range scratch.runners[:workers] {
 		fastServed += rn.fastServed
 	}
 	c.Profile = CampaignProfile{
@@ -398,10 +482,10 @@ func emptyCampaignState() CampaignState {
 }
 
 // mergeChunk folds trial slots — in slot order, which is trial order —
-// into the running state. It is the one sequential reduction of every
-// campaign: RunCampaign merges its whole slot array, RunCampaignChunked
-// one chunk at a time. The histograms take the bucket indices the
-// workers stored in the slots, so the merge does no search.
+// into the running state, one chunk at a time. It is the one
+// sequential reduction of every campaign. The histograms take the
+// bucket indices the workers stored in the slots, so the merge does
+// no search.
 func mergeChunk(st *CampaignState, slots []trialSlot, eHist, mHist *hist.Histogram) {
 	for i := range slots {
 		slot := &slots[i]

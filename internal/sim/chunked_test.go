@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"energysched/internal/hist"
@@ -382,5 +383,34 @@ func TestChunkedAllocsFlat(t *testing.T) {
 	}
 	if big > 48 {
 		t.Fatalf("chunked campaign allocates %.1f objects per run, want <= 48", big)
+	}
+}
+
+// TestChunkedRunCampaignBytesFlat: RunCampaign runs on the chunked
+// engine, so the bytes a campaign allocates on a fresh Runner (setup,
+// worker clones, one chunk of trial slots, the result) do not grow
+// with the trial count. A whole-campaign slot array would add 32 B
+// per trial, 3.75 MiB between the two sizes below.
+func TestChunkedRunCampaignBytesFlat(t *testing.T) {
+	in := triChain(t, 32, 1e-6)
+	res := solve(t, in)
+	measure := func(trials int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := NewRunner(in, res.Schedule, Options{Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RunCampaign(context.Background(), trials, 4); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small := measure(8 << 10)
+	big := measure(128 << 10)
+	t.Logf("fresh-Runner campaign: %d B at 8k trials, %d B at 128k", small, big)
+	if big > small+64<<10 {
+		t.Fatalf("campaign bytes grow with trials: %d B at 8k vs %d B at 128k", small, big)
 	}
 }

@@ -161,10 +161,10 @@ func TestCampaignSuccessRateWithinBinomialCI(t *testing.T) {
 	}
 }
 
-// TestPredictionMatchesFaultsimClosedForm cross-checks sim's
-// closed-form reliability against faultsim's per-task predictions —
-// two independent implementations of the same Eq. (1) algebra.
-func TestPredictionMatchesFaultsimClosedForm(t *testing.T) {
+// TestPredictionMatchesIndependentClosedForm cross-checks sim's
+// closed-form reliability against the per-task Eq. (1) algebra
+// recomputed here from the schedule's executions.
+func TestPredictionMatchesIndependentClosedForm(t *testing.T) {
 	in := triChain(t, 9, 0.02)
 	res := solve(t, in)
 	r, err := NewRunner(in, res.Schedule, Options{})

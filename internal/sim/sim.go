@@ -17,12 +17,12 @@
 // the mapping's constraint graph (DAG precedence ∪ same-processor
 // order) has completed, and starts at the later of that instant and
 // its scheduled start time. Faults are drawn per attempt from
-// counter-split splitmix64 streams (internal/rng, shared with
-// faultsim), one stream per (seed, trial) pair, so campaigns are
-// reproducible and embarrassingly parallel. Recovery after a failed
-// first attempt is pluggable: re-execute at the same speed (in the
-// schedule's re-execution slot when the solver provisioned one),
-// re-execute at fmax, or abort the run.
+// counter-split splitmix64 streams (internal/rng), one stream per
+// (seed, trial) pair, so campaigns are reproducible and
+// embarrassingly parallel. Recovery after a failed first attempt is
+// pluggable: re-execute at the same speed (in the schedule's
+// re-execution slot when the solver provisioned one), re-execute at
+// fmax, or abort the run.
 package sim
 
 import (
@@ -282,7 +282,7 @@ type Runner struct {
 	noFast bool
 	// fastServed counts trials this runner answered from the fast path
 	// since the campaign last reset it — each worker counts its own,
-	// RunCampaign sums them into the campaign profile.
+	// the campaign sums them into its profile.
 	fastServed int64
 
 	// per-trial scratch
@@ -291,8 +291,8 @@ type Runner struct {
 	x     []uint64 // the trial's raw draws, laid out like thr
 	heap  []event
 
-	// camp is the reusable campaign state (worker clones, trial slots,
-	// outcome histograms), built lazily by RunCampaign.
+	// camp is the reusable campaign state (worker runners, trial
+	// slots, outcome histograms), built lazily by the first campaign.
 	camp *campaignScratch
 }
 
@@ -633,7 +633,7 @@ func (r *Runner) release(i int, now float64) {
 // faultOffset locates the fault instant within the attempt for the
 // trace. Under the repository's linearized rate model the fault
 // probability is P(fault in [0,t]) = Λ(t) = Σ λ(f_s)·d_s itself (not
-// 1−e^−Λ — see model.Reliability.FailureProb and faultsim), so the
+// 1−e^−Λ — see model.Reliability.FailureProb), so the
 // per-attempt uniform u that decided the fault (u < p, u uniform)
 // doubles as the exact inverse-CDF sample: the fault lands where the
 // running Λ crosses u. Only recorded traces locate faults, so only
