@@ -33,20 +33,6 @@ func LatencyBounds() []float64 {
 	return []float64{1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8, 3e8, 1e9, 3e9, 1e10}
 }
 
-// latencySecondsBounds backs LatencySecondsBounds.
-var latencySecondsBounds = func() []float64 {
-	secs := LatencyBounds()
-	for i := range secs {
-		secs[i] /= 1e9
-	}
-	return secs
-}()
-
-// LatencySecondsBounds returns LatencyBounds converted once from
-// nanoseconds to the seconds /metrics speaks. The slice is shared
-// across callers and must not be modified.
-func LatencySecondsBounds() []float64 { return latencySecondsBounds }
-
 // outcomeBounds backs OutcomeBounds: 32 buckets per decade over
 // [1e-6, 1e9], so any positive energy or makespan a campaign can
 // plausibly produce lands in a bucket ~7.5% wide — fine enough for
@@ -98,6 +84,17 @@ func Quantile(bounds []float64, counts []int64, count int64, q float64) float64 
 		}
 	}
 	return -1
+}
+
+// QuantileMs is Quantile over nanosecond bounds, converted to
+// milliseconds; the 0 (empty) and -1 (overflow) sentinels pass
+// through unscaled.
+func QuantileMs(boundsNs []float64, counts []int64, count int64, q float64) float64 {
+	v := Quantile(boundsNs, counts, count, q)
+	if v > 0 {
+		return v / 1e6
+	}
+	return v
 }
 
 // Histogram is a fixed-bound bucket histogram with plain counters:

@@ -220,7 +220,7 @@ func Replay(ctx context.Context, tr *Trace, opts ReplayOptions) (*Report, error)
 		slow = newSlowTracker(opts.Slowest)
 	}
 
-	var before statsScrape
+	var before client.Stats
 	if opts.ScrapeStats {
 		if err := cl.GetJSON(ctx, "/stats", &before); err != nil {
 			return nil, fmt.Errorf("loadgen: scraping /stats before replay: %w", err)
@@ -289,8 +289,8 @@ issue:
 			Shed:     t.shed.Load(),
 			Rejected: t.rejected.Load(),
 			Errors:   t.errors.Load(),
-			P50Ms:    quantileMs(t.latency, counts, count, 0.50),
-			P99Ms:    quantileMs(t.latency, counts, count, 0.99),
+			P50Ms:    hist.QuantileMs(t.latency.Bounds(), counts, count, 0.50),
+			P99Ms:    hist.QuantileMs(t.latency.Bounds(), counts, count, 0.99),
 			MaxMs:    float64(t.latency.Max()) / 1e6,
 		}
 		if count > 0 {
@@ -307,7 +307,7 @@ issue:
 		rep.AchievedPerSec = float64(rep.Requests) / rep.WallS
 	}
 	if opts.ScrapeStats {
-		var after statsScrape
+		var after client.Stats
 		if err := cl.GetJSON(ctx, "/stats", &after); err != nil {
 			return nil, fmt.Errorf("loadgen: scraping /stats after replay: %w", err)
 		}
@@ -346,23 +346,7 @@ func fire(ctx context.Context, cl *client.Client, ev *Event, t *kindTracker) (*c
 	return resp, dur, nil
 }
 
-// statsScrape is the /stats subset the report needs.
-type statsScrape struct {
-	Solved    int64 `json:"solved"`
-	Simulated int64 `json:"simulated"`
-	Swept     int64 `json:"swept"`
-	Timeouts  int64 `json:"timeouts"`
-	InFlight  int64 `json:"inFlight"`
-	Queued    int64 `json:"queued"`
-	Shed      int64 `json:"shed"`
-	Coalesced int64 `json:"coalesced"`
-	Cache     struct {
-		Hits   int64 `json:"hits"`
-		Misses int64 `json:"misses"`
-	} `json:"cache"`
-}
-
-func statsDelta(before, after *statsScrape) *StatsDelta {
+func statsDelta(before, after *client.Stats) *StatsDelta {
 	d := &StatsDelta{
 		CacheHits:      after.Cache.Hits - before.Cache.Hits,
 		CacheMisses:    after.Cache.Misses - before.Cache.Misses,
@@ -381,15 +365,4 @@ func statsDelta(before, after *statsScrape) *StatsDelta {
 		d.CacheHitRate = float64(d.CacheHits) / float64(lookups)
 	}
 	return d
-}
-
-// quantileMs converts hist's conservative bucket quantile to
-// milliseconds, passing the 0 (empty) and -1 (overflow) sentinels
-// through unscaled.
-func quantileMs(a *hist.Atomic, counts []int64, count int64, q float64) float64 {
-	v := hist.Quantile(a.Bounds(), counts, count, q)
-	if v > 0 {
-		return v / 1e6
-	}
-	return v
 }

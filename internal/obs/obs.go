@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency observability layer shared by
 // energyschedd and energyrouter: request-scoped tracing with
 // deterministic seeded trace IDs, a Prometheus text-format metric
-// registry generated from the same atomics and histograms that back
-// the JSON /stats payloads, and runtime (goroutine/GC/heap) gauges.
+// registry that renders both GET /metrics and the JSON GET /stats
+// document, and runtime (goroutine/GC/heap) gauges.
 //
 // The layer is built around two invariants:
 //
@@ -13,11 +13,11 @@
 //     zero allocations when tracing is off (gated by AllocsPerRun in
 //     the tests).
 //
-//   - One registry, two views. Metric families register the very
-//     atomic counters and hist.Atomic histograms the /stats handlers
-//     read, each tagged with the flattened /stats key it mirrors, so
-//     the parity between GET /stats and GET /metrics is checkable by
-//     test instead of promised by convention.
+//   - One registry, two views. Each metric family is declared once,
+//     with the /stats key its value renders under, and the registry
+//     encodes it both as GET /metrics text (WritePrometheus) and as
+//     the GET /stats JSON document (Stats). The two views agree by
+//     construction.
 //
 // Request identity travels in two headers: RequestIDHeader carries the
 // trace ID end to end (router → backend, echoed on every response),

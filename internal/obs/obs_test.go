@@ -290,18 +290,17 @@ func goldenRegistry() *Registry {
 	inflight.Store(3)
 	r.Counter("test_requests_total", "Requests handled.", "requests", &reqs)
 	r.Gauge("test_inflight", "Requests in flight.", "inflight", &inflight)
-	r.CounterVec("test_cache_ops_total", "Cache operations.", func(emit func(Sample)) {
-		emit(Sample{Labels: []Label{{"op", "hit"}}, Value: 10, StatKey: "cache.hits"})
-		emit(Sample{Labels: []Label{{"op", "miss"}}, Value: 4, StatKey: "cache.misses"})
+	r.CounterVec("test_cache_ops_total", "Cache operations.", "ops[op].count", func(emit func(Sample)) {
+		emit(Sample{Labels: []Label{{"op", "hit"}}, Value: 10})
+		emit(Sample{Labels: []Label{{"op", "miss"}}, Value: 4})
 	})
-	r.HistogramVec("test_duration_seconds", "Stage duration.", func(emit func(HistSample)) {
+	r.HistogramVec("test_duration_seconds", "Stage duration.", "latency", func(emit func(HistSample)) {
 		emit(HistSample{
-			Labels:  []Label{{"stage", "solve"}},
-			Bounds:  []float64{0.001, 0.01, 0.1},
-			Counts:  []int64{5, 2, 1, 1}, // last is overflow
-			Count:   9,
-			Sum:     0.25,
-			StatKey: "latency.solve",
+			Labels:   []Label{{"stage", "solve"}},
+			BoundsNs: []float64{1e6, 1e7, 1e8},
+			Counts:   []int64{5, 2, 1, 1}, // last is overflow
+			Count:    9,
+			SumNs:    250e6,
 		})
 	})
 	return r
@@ -347,27 +346,27 @@ func TestMetricsHandler(t *testing.T) {
 	}
 }
 
-func TestStatKeys(t *testing.T) {
+// TestStats pins the /stats encoder on every statKey form — dotted
+// path, rows, boolean and histogram — and checks that a family with no
+// stat key is never collected for /stats.
+func TestStats(t *testing.T) {
 	r := goldenRegistry()
-	RegisterRuntime(r)
-	mapped, unmapped := r.StatKeys()
-	want := map[string]float64{
-		"requests": 42, "inflight": 3,
-		"cache.hits": 10, "cache.misses": 4,
-		"latency.solve": 9,
+	var up atomic.Int64
+	up.Store(1)
+	r.Gauge("test_up", "Serving.", "state.up?", &up)
+	r.GaugeFunc("go_test_profile", "Profiling only.", "", func() float64 {
+		t.Error("Stats collected a family registered without a stat key")
+		return 0
+	})
+	out, err := json.Marshal(r.Stats())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, v := range want {
-		if mapped[k] != v {
-			t.Errorf("StatKeys[%q] = %v, want %v", k, mapped[k], v)
-		}
-	}
-	if len(mapped) != len(want) {
-		t.Errorf("mapped = %v, want exactly %v", mapped, want)
-	}
-	for _, name := range unmapped {
-		if !strings.HasPrefix(name, "go_") && !strings.HasPrefix(name, "obs_") {
-			t.Errorf("unmapped family %q lacks a profiling prefix", name)
-		}
+	const want = `{"inflight":3,"latency":{"solve":{"count":9,"totalMs":250,"meanMs":27.77777777777778,"p50Ms":1,"p99Ms":-1,` +
+		`"buckets":[{"leMs":1,"count":5},{"leMs":10,"count":2},{"leMs":100,"count":1},{"leMs":-1,"count":1}]}},` +
+		`"ops":[{"count":10,"op":"hit"},{"count":4,"op":"miss"}],"requests":42,"state":{"up":true}}`
+	if string(out) != want {
+		t.Fatalf("stats mismatch:\n got %s\nwant %s", out, want)
 	}
 }
 

@@ -39,39 +39,35 @@ type Label struct{ Key, Value string }
 type Sample struct {
 	Labels []Label
 	Value  float64
-	// StatKey is the flattened GET /stats path this sample mirrors
-	// (e.g. "cache.hits", "router.proxied", "backends.<url>.proxied"),
-	// the hook the /stats↔/metrics parity tests verify. Empty marks a
-	// profiling-only series with no /stats counterpart; such families
-	// must carry a "go_" or "obs_" prefix, which the parity tests
-	// enforce.
-	StatKey string
 }
 
-// HistSample is one histogram series: bucket counts over ascending
-// inclusive upper edges (in the exported unit) plus one trailing
-// overflow bucket, exactly the internal/hist layout.
+// HistSample is one duration-histogram series in integer nanoseconds,
+// exactly the internal/hist.Atomic layout: bucket counts over ascending
+// inclusive upper edges plus one trailing overflow bucket. /metrics
+// renders it in seconds and /stats in milliseconds, each converted
+// straight from the nanosecond data.
 type HistSample struct {
-	Labels  []Label
-	Bounds  []float64
-	Counts  []int64 // len(Bounds)+1, last is overflow
-	Count   int64
-	Sum     float64
-	StatKey string
+	Labels   []Label
+	BoundsNs []float64
+	Counts   []int64 // len(BoundsNs)+1, last is overflow
+	Count    int64
+	SumNs    int64
 }
 
-// family is one registered metric name with its collector.
+// family is one registered metric name with its collector and the
+// GET /stats key its samples render under ("" keeps it out of /stats).
 type family struct {
 	name, help  string
 	kind        Kind
+	statKey     string
 	collect     func(emit func(Sample))
 	collectHist func(emit func(HistSample))
 }
 
-// Registry is an ordered set of metric families rendered as Prometheus
-// text exposition. Collectors read live state (the same atomics and
-// histograms the /stats handlers read) at scrape time; the registry
-// itself holds no metric values.
+// Registry is an ordered set of metric families with two encoders:
+// Prometheus text exposition for GET /metrics and the nested JSON
+// document for GET /stats. Collectors read live state at scrape time;
+// the registry itself holds no metric values.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -92,16 +88,17 @@ func (r *Registry) register(f *family) {
 }
 
 // Counter registers a monotonically increasing series backed directly
-// by v — the same atomic the JSON stats payload loads, which is what
-// makes /stats and /metrics two views of one registry.
+// by v. statKey is the dotted GET /stats path the value renders under
+// (e.g. "cache.hits"); "" keeps the family out of /stats, and its
+// collector is then never called for a /stats request.
 func (r *Registry) Counter(name, help, statKey string, v *atomic.Int64) {
 	r.CounterFunc(name, help, statKey, func() float64 { return float64(v.Load()) })
 }
 
 // CounterFunc registers a counter series computed at scrape time.
 func (r *Registry) CounterFunc(name, help, statKey string, f func() float64) {
-	r.register(&family{name: name, help: help, kind: KindCounter,
-		collect: func(emit func(Sample)) { emit(Sample{Value: f(), StatKey: statKey}) }})
+	r.register(&family{name: name, help: help, kind: KindCounter, statKey: statKey,
+		collect: func(emit func(Sample)) { emit(Sample{Value: f()}) }})
 }
 
 // Gauge registers a current-value series backed directly by v.
@@ -111,24 +108,27 @@ func (r *Registry) Gauge(name, help, statKey string, v *atomic.Int64) {
 
 // GaugeFunc registers a gauge series computed at scrape time.
 func (r *Registry) GaugeFunc(name, help, statKey string, f func() float64) {
-	r.register(&family{name: name, help: help, kind: KindGauge,
-		collect: func(emit func(Sample)) { emit(Sample{Value: f(), StatKey: statKey}) }})
+	r.register(&family{name: name, help: help, kind: KindGauge, statKey: statKey,
+		collect: func(emit func(Sample)) { emit(Sample{Value: f()}) }})
 }
 
 // CounterVec registers a labeled counter family whose collector emits
-// one Sample per label set at scrape time.
-func (r *Registry) CounterVec(name, help string, collect func(emit func(Sample))) {
-	r.register(&family{name: name, help: help, kind: KindCounter, collect: collect})
+// one Sample per label set at scrape time. A non-empty statKey has the
+// row form "rows[id].field" (see Stats).
+func (r *Registry) CounterVec(name, help, statKey string, collect func(emit func(Sample))) {
+	r.register(&family{name: name, help: help, kind: KindCounter, statKey: statKey, collect: collect})
 }
 
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, collect func(emit func(Sample))) {
-	r.register(&family{name: name, help: help, kind: KindGauge, collect: collect})
+// GaugeVec registers a labeled gauge family; statKey as for CounterVec.
+func (r *Registry) GaugeVec(name, help, statKey string, collect func(emit func(Sample))) {
+	r.register(&family{name: name, help: help, kind: KindGauge, statKey: statKey, collect: collect})
 }
 
-// HistogramVec registers a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, collect func(emit func(HistSample))) {
-	r.register(&family{name: name, help: help, kind: KindHistogram, collectHist: collect})
+// HistogramVec registers a labeled duration-histogram family. A
+// non-empty statKey names the /stats object that holds one
+// LatencyStat per series, keyed by the series' first label value.
+func (r *Registry) HistogramVec(name, help, statKey string, collect func(emit func(HistSample))) {
+	r.register(&family{name: name, help: help, kind: KindHistogram, statKey: statKey, collectHist: collect})
 }
 
 // sortedFamilies snapshots the family list in name order — the stable
@@ -177,19 +177,19 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// writeHist renders one histogram series: cumulative le buckets
-// (overflow folded into +Inf), then _sum and _count.
+// writeHist renders one histogram series in seconds: cumulative le
+// buckets (overflow folded into +Inf), then _sum and _count.
 func writeHist(b *strings.Builder, name string, s HistSample) {
 	var cum int64
-	for i, bound := range s.Bounds {
+	for i, bound := range s.BoundsNs {
 		if i < len(s.Counts) {
 			cum += s.Counts[i]
 		}
-		writeBucket(b, name, s.Labels, formatValue(bound), cum)
+		writeBucket(b, name, s.Labels, formatValue(bound/1e9), cum)
 	}
 	writeBucket(b, name, s.Labels, "+Inf", s.Count)
 	base := labelString(s.Labels)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, base, formatValue(s.Sum))
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, base, formatValue(float64(s.SumNs)/1e9))
 	fmt.Fprintf(b, "%s_count%s %d\n", name, base, s.Count)
 }
 
@@ -252,42 +252,6 @@ func escapeHelp(v string) string {
 // integers stay integral ("42"), so counter lines look like counters.
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// StatKeys collects every sample's (StatKey → value) mapping at scrape
-// time — histograms map their key to the observation count — plus the
-// family names of samples that declare no stat key. The parity tests
-// compare the mapping against the flattened /stats JSON and require
-// every unmapped family to carry a profiling prefix.
-func (r *Registry) StatKeys() (mapped map[string]float64, unmapped []string) {
-	mapped = map[string]float64{}
-	seen := map[string]bool{}
-	for _, f := range r.sortedFamilies() {
-		if f.kind == KindHistogram {
-			f.collectHist(func(s HistSample) {
-				if s.StatKey == "" {
-					if !seen[f.name] {
-						seen[f.name] = true
-						unmapped = append(unmapped, f.name)
-					}
-					return
-				}
-				mapped[s.StatKey] = float64(s.Count)
-			})
-			continue
-		}
-		f.collect(func(s Sample) {
-			if s.StatKey == "" {
-				if !seen[f.name] {
-					seen[f.name] = true
-					unmapped = append(unmapped, f.name)
-				}
-				return
-			}
-			mapped[s.StatKey] = s.Value
-		})
-	}
-	return mapped, unmapped
 }
 
 // MetricsHandler serves GET /metrics from the registry.

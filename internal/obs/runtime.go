@@ -27,8 +27,8 @@ func (c *memStatsCache) get() *runtime.MemStats {
 }
 
 // RegisterRuntime adds goroutine, heap, and GC gauges to the registry.
-// These are the profiling-only series — no /stats counterpart — which
-// is why they carry the go_ prefix the parity tests exempt.
+// These are profiling-only series: registered without a /stats key,
+// so a /stats request never calls runtime.ReadMemStats.
 func RegisterRuntime(r *Registry) {
 	ms := &memStatsCache{ttl: time.Second}
 	r.GaugeFunc("go_goroutines", "Number of goroutines that currently exist.", "",
@@ -46,7 +46,8 @@ func RegisterRuntime(r *Registry) {
 }
 
 // RegisterTracer adds the tracer's own series to the registry (traced
-// request count); safe with a nil tracer, whose count is fixed at 0.
+// request count, profiling-only like RegisterRuntime); safe with a nil
+// tracer, whose count is fixed at 0.
 func RegisterTracer(r *Registry, t *Tracer) {
 	r.CounterFunc("obs_traces_total", "Requests traced since process start.", "",
 		func() float64 { return float64(t.Total()) })

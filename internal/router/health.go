@@ -3,6 +3,8 @@ package router
 import (
 	"context"
 	"time"
+
+	"energysched/internal/client"
 )
 
 // ProbeOnce runs one health-probe round over every member of the
@@ -28,7 +30,7 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 			defer func() { done <- struct{}{} }()
 			pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 			defer cancel()
-			var s backendScrape
+			var s client.Stats
 			err := m.client.GetJSON(pctx, "/stats", &s)
 			if err == nil {
 				m.probedLoad.Store(s.InFlight + s.Queued)

@@ -8,18 +8,16 @@ import (
 	"energysched/internal/obs"
 )
 
-// newRegistry builds the GET /metrics registry over the exact state the
-// router-owned blocks of GET /stats read: the same atomic counters
-// behind "router" and "resilience", the same per-member gauges behind
-// "backends", the same start time behind uptimeSeconds. Each family
-// carries the flattened /stats key it mirrors (StatKey), which the
-// parity test checks in both directions. The /stats top-level counters
-// are deliberately absent: they are live scrapes summed over remote
-// backends, not router state, and each backend already exposes them on
-// its own /metrics. Two families are router-only by design and exempt
-// from parity: energyrouter_request_duration_seconds (the per-kind
-// latency histogram that drives hedging — /stats never carried it) and
-// energyrouter_policy_info (a string rendered as a labeled gauge).
+// newRegistry builds the one registry behind GET /metrics and the
+// router-owned part of GET /stats: uptimeSeconds and the "router",
+// "resilience" and "backends" blocks. Each family is declared once,
+// with the /stats key its value renders under. The /stats top-level
+// counters are not here: they are live sums scraped from the backends,
+// which expose them on their own /metrics. Three kinds of family have
+// no /stats key: the go_/obs_ profiling series,
+// energyrouter_request_duration_seconds (the per-kind latency that
+// drives hedging) and energyrouter_policy_info (/stats carries the
+// policy as a string).
 func (rt *Router) newRegistry() *obs.Registry {
 	r := obs.NewRegistry()
 	r.GaugeFunc("energyrouter_uptime_seconds", "Seconds since the router started.", "uptimeSeconds",
@@ -36,39 +34,41 @@ func (rt *Router) newRegistry() *obs.Registry {
 	r.Counter("energyrouter_breaker_opened_total", "Circuit transitions to open.", "resilience.breakerOpened", &rt.breakerOpened)
 	r.Counter("energyrouter_breaker_half_open_total", "Open circuits admitting a trial request.", "resilience.breakerHalfOpen", &rt.breakerHalfOpen)
 	r.Counter("energyrouter_breaker_closed_total", "Circuits recovered to closed.", "resilience.breakerClosed", &rt.breakerClosed)
-	// Failovers mirrors retried, exactly as the /stats resilience block
-	// does (see resilienceSnapshot).
+	// Failovers mirrors retried: every failover re-send is one retried
+	// attempt.
 	r.CounterFunc("energyrouter_failovers_total", "Failover re-sends (mirrors retried).", "resilience.failovers",
 		func() float64 { return float64(rt.retried.Load()) })
 	r.Counter("energyrouter_hedges_fired_total", "Hedge second legs launched.", "resilience.hedgesFired", &rt.hedgesFired)
 	r.Counter("energyrouter_hedges_won_total", "Hedge legs that answered first.", "resilience.hedgesWon", &rt.hedgesWon)
 	r.Counter("energyrouter_degraded_hits_total", "Responses served from the degraded cache.", "resilience.degradedHits", &rt.degradedHits)
 
-	r.GaugeVec("energyrouter_policy_info", "Resolved routing policy (value is always 1).",
+	r.GaugeVec("energyrouter_policy_info", "Resolved routing policy (value is always 1).", "",
 		func(emit func(obs.Sample)) {
 			emit(obs.Sample{Labels: []obs.Label{{Key: "policy", Value: rt.cfg.Policy}}, Value: 1})
 		})
 
+	// The backend families render as the /stats "backends" array, one
+	// row per member in pool order, identified by its URL.
 	r.GaugeVec("energyrouter_backend_healthy", "Backend health as seen by the prober (1 healthy, 0 evicted).",
-		rt.collectBackends(func(m *member) float64 {
+		"backends[url].healthy?", rt.collectBackends(func(m *member) float64 {
 			if m.healthy.Load() {
 				return 1
 			}
 			return 0
-		}, "healthy"))
+		}))
 	r.CounterVec("energyrouter_backend_proxied_total", "Requests answered by the backend.",
-		rt.collectBackends(func(m *member) float64 { return float64(m.proxied.Load()) }, "proxied"))
+		"backends[url].proxied", rt.collectBackends(func(m *member) float64 { return float64(m.proxied.Load()) }))
 	r.GaugeVec("energyrouter_backend_outstanding", "Router-issued requests currently in flight to the backend.",
-		rt.collectBackends(func(m *member) float64 { return float64(m.outstanding.Load()) }, "outstanding"))
+		"backends[url].outstanding", rt.collectBackends(func(m *member) float64 { return float64(m.outstanding.Load()) }))
 	r.GaugeVec("energyrouter_backend_probed_load", "inFlight+queued from the backend's last good probe.",
-		rt.collectBackends(func(m *member) float64 { return float64(m.probedLoad.Load()) }, "probedLoad"))
+		"backends[url].probedLoad", rt.collectBackends(func(m *member) float64 { return float64(m.probedLoad.Load()) }))
 	r.CounterVec("energyrouter_backend_evictions_total", "Times the prober evicted the backend.",
-		rt.collectBackends(func(m *member) float64 { return float64(m.evictions.Load()) }, "evictions"))
+		"backends[url].evictions", rt.collectBackends(func(m *member) float64 { return float64(m.evictions.Load()) }))
 	r.CounterVec("energyrouter_backend_readmissions_total", "Times the prober readmitted the backend.",
-		rt.collectBackends(func(m *member) float64 { return float64(m.readmissions.Load()) }, "readmissions"))
+		"backends[url].readmissions", rt.collectBackends(func(m *member) float64 { return float64(m.readmissions.Load()) }))
 
 	r.HistogramVec("energyrouter_request_duration_seconds",
-		"Successful backend attempt wall time by request kind (drives hedge delays).",
+		"Successful backend attempt wall time by request kind (drives hedge delays).", "",
 		rt.collectLatency)
 
 	obs.RegisterRuntime(r)
@@ -77,17 +77,13 @@ func (rt *Router) newRegistry() *obs.Registry {
 }
 
 // collectBackends adapts one per-member reading into a vec collector:
-// one sample per current pool member, labeled by URL and tagged with
-// the member's flattened /stats key. The pool snapshot is loaded per
-// scrape, so admin membership changes show up on the next pull.
-func (rt *Router) collectBackends(read func(*member) float64, field string) func(emit func(obs.Sample)) {
+// one sample per current pool member, in pool order, labeled by URL.
+// The pool snapshot is loaded per scrape, so admin membership changes
+// show up on the next pull.
+func (rt *Router) collectBackends(read func(*member) float64) func(emit func(obs.Sample)) {
 	return func(emit func(obs.Sample)) {
 		for _, m := range rt.pool.Load().members {
-			emit(obs.Sample{
-				Labels:  []obs.Label{{Key: "backend", Value: m.url}},
-				Value:   read(m),
-				StatKey: "backends." + m.url + "." + field,
-			})
+			emit(obs.Sample{Labels: []obs.Label{{Key: "backend", Value: m.url}}, Value: read(m)})
 		}
 	}
 }
@@ -109,11 +105,11 @@ func (rt *Router) collectLatency(emit func(obs.HistSample)) {
 	for i, kind := range kinds {
 		count, sumNs, counts := hists[i].Snapshot()
 		emit(obs.HistSample{
-			Labels: []obs.Label{{Key: "kind", Value: kind}},
-			Bounds: hist.LatencySecondsBounds(),
-			Counts: counts,
-			Count:  count,
-			Sum:    float64(sumNs) / 1e9,
+			Labels:   []obs.Label{{Key: "kind", Value: kind}},
+			BoundsNs: hists[i].Bounds(),
+			Counts:   counts,
+			Count:    count,
+			SumNs:    sumNs,
 		})
 	}
 }

@@ -1,8 +1,6 @@
 package router_test
 
 import (
-	"encoding/json"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -11,105 +9,6 @@ import (
 	"energysched/internal/obs"
 	"energysched/internal/router"
 )
-
-// flattenRouterStats reduces the router-owned blocks of GET /stats to
-// the dotted keys the registry's StatKey tags speak: uptimeSeconds,
-// router.<counter>, resilience.<counter> and backends.<url>.<field>
-// (healthy flattened to 0/1). The top-level counters are deliberately
-// excluded — they are live sums scraped from remote backends, not
-// router state, and have no router-side registry to mirror.
-func flattenRouterStats(t *testing.T, raw []byte) map[string]float64 {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("stats payload: %v", err)
-	}
-	out := map[string]float64{}
-	if f, ok := m["uptimeSeconds"].(float64); ok {
-		out["uptimeSeconds"] = f
-	}
-	for _, block := range []string{"router", "resilience"} {
-		for k, v := range m[block].(map[string]any) {
-			out[block+"."+k] = v.(float64)
-		}
-	}
-	for _, b := range m["backends"].([]any) {
-		row := b.(map[string]any)
-		url := row["url"].(string)
-		for k, v := range row {
-			switch k {
-			case "url", "unreachable":
-			case "healthy":
-				val := 0.0
-				if v.(bool) {
-					val = 1
-				}
-				out["backends."+url+"."+k] = val
-			default:
-				out["backends."+url+"."+k] = v.(float64)
-			}
-		}
-	}
-	return out
-}
-
-// routerParityExempt lists the families allowed to have no /stats
-// counterpart without a go_/obs_ profiling prefix: the per-kind
-// latency histogram (internal hedging state /stats never carried) and
-// the policy info gauge (a string, rendered as a labeled gauge).
-var routerParityExempt = map[string]bool{
-	"energyrouter_request_duration_seconds": true,
-	"energyrouter_policy_info":              true,
-}
-
-// TestRouterMetricsStatsParity is the router's one-registry-two-views
-// gate, scoped to the router-owned /stats blocks: every flattened key
-// must be a StatKey-tagged /metrics sample with the same value, every
-// tagged sample must appear in /stats, and every untagged family must
-// be either profiling-prefixed or explicitly exempt.
-func TestRouterMetricsStatsParity(t *testing.T) {
-	c, err := router.NewTestCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Drive a miss and a hit so proxied/backend counters move.
-	postSolve(t, c, solveBody(1))
-	postSolve(t, c, solveBody(1))
-
-	var raw json.RawMessage
-	getJSON(t, c.URL()+"/stats", &raw)
-	stats := flattenRouterStats(t, raw)
-	mapped, unmapped := c.Router.Metrics().StatKeys()
-
-	for key, want := range stats {
-		got, ok := mapped[key]
-		if !ok {
-			t.Errorf("stats key %q has no /metrics counterpart", key)
-			continue
-		}
-		if key == "uptimeSeconds" {
-			if math.Abs(got-want) > 5 {
-				t.Errorf("uptimeSeconds drifted: stats %v, metrics %v", want, got)
-			}
-			continue
-		}
-		if got != want {
-			t.Errorf("value mismatch for %q: stats %v, metrics %v", key, want, got)
-		}
-	}
-	for key := range mapped {
-		if _, ok := stats[key]; !ok {
-			t.Errorf("metrics StatKey %q has no /stats counterpart", key)
-		}
-	}
-	for _, name := range unmapped {
-		if !strings.HasPrefix(name, "go_") && !strings.HasPrefix(name, "obs_") && !routerParityExempt[name] {
-			t.Errorf("family %q has no StatKey, no profiling prefix and no documented exemption", name)
-		}
-	}
-}
 
 // TestRouterMetricsEndpoint asserts the router's GET /metrics serves
 // parseable exposition carrying the core routing families.

@@ -24,7 +24,7 @@ func TestResilienceBlockGolden(t *testing.T) {
 	rt.degradedHits.Add(5)
 	rt.retried.Add(6)
 
-	out, err := json.Marshal(rt.resilienceSnapshot())
+	out, err := json.Marshal(rt.metrics.Stats()["resilience"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +35,14 @@ func TestResilienceBlockGolden(t *testing.T) {
 }
 
 // TestResilienceBlockKeysSorted: the block marshals with its keys in
-// alphabetical order (the struct declares fields that way), matching
-// the sorted-key treatment of every other /stats section.
+// alphabetical order, matching the sorted-key treatment of every other
+// /stats section.
 func TestResilienceBlockKeysSorted(t *testing.T) {
 	rt, err := New(Config{Backends: fakeBackends(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := json.Marshal(rt.resilienceSnapshot())
+	out, err := json.Marshal(rt.metrics.Stats()["resilience"])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -813,112 +813,22 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// backendScrape is the backend /stats subset the aggregate sums.
-type backendScrape struct {
-	Requests  int64       `json:"requests"`
-	Solved    int64       `json:"solved"`
-	Simulated int64       `json:"simulated"`
-	Swept     int64       `json:"swept"`
-	Errors    int64       `json:"errors"`
-	Timeouts  int64       `json:"timeouts"`
-	InFlight  int64       `json:"inFlight"`
-	Queued    int64       `json:"queued"`
-	Shed      int64       `json:"shed"`
-	Coalesced int64       `json:"coalesced"`
-	Cache     cache.Stats `json:"cache"`
-}
-
-// backendStatsJSON is one member's row in the router /stats payload.
-type backendStatsJSON struct {
-	URL          string `json:"url"`
-	Healthy      bool   `json:"healthy"`
-	Proxied      int64  `json:"proxied"`
-	Outstanding  int64  `json:"outstanding"`
-	ProbedLoad   int64  `json:"probedLoad"`
-	Evictions    int64  `json:"evictions"`
-	Readmissions int64  `json:"readmissions"`
-	Unreachable  bool   `json:"unreachable,omitempty"`
-}
-
-// routerStatsJSON is the router's own counter block.
-type routerStatsJSON struct {
-	Requests   int64 `json:"requests"`
-	Proxied    int64 `json:"proxied"`
-	Retried    int64 `json:"retried"`
-	BadGateway int64 `json:"badGateway"`
-	NoBackend  int64 `json:"noBackend"`
-	Scattered  int64 `json:"scattered"`
-	Panics     int64 `json:"panics"`
-}
-
-// resilienceJSON is the failure-handling counter block of /stats.
-// Fields are declared in alphabetical JSON-key order so the marshaled
-// block is sorted — the same golden-test treatment as the server's
-// /stats payload (see resilience_internal_test.go).
-type resilienceJSON struct {
-	BreakerClosed   int64 `json:"breakerClosed"`
-	BreakerHalfOpen int64 `json:"breakerHalfOpen"`
-	BreakerOpened   int64 `json:"breakerOpened"`
-	DegradedHits    int64 `json:"degradedHits"`
-	Failovers       int64 `json:"failovers"`
-	HedgesFired     int64 `json:"hedgesFired"`
-	HedgesWon       int64 `json:"hedgesWon"`
-}
-
-// resilienceSnapshot loads the resilience counters. Failovers mirrors
-// the router block's retried counter: every failover re-send is one
-// retried attempt.
-func (rt *Router) resilienceSnapshot() resilienceJSON {
-	return resilienceJSON{
-		BreakerClosed:   rt.breakerClosed.Load(),
-		BreakerHalfOpen: rt.breakerHalfOpen.Load(),
-		BreakerOpened:   rt.breakerOpened.Load(),
-		DegradedHits:    rt.degradedHits.Load(),
-		Failovers:       rt.retried.Load(),
-		HedgesFired:     rt.hedgesFired.Load(),
-		HedgesWon:       rt.hedgesWon.Load(),
-	}
-}
-
-// statsJSON is the GET /stats payload. The top-level counters are the
-// live sums over every reachable backend, named exactly like a single
-// energyschedd's /stats — so energyload's before/after scrape works
-// identically against a router and a single node. Router-only state
-// sits under "policy", "router", "resilience" and "backends".
-type statsJSON struct {
-	UptimeSeconds float64            `json:"uptimeSeconds"`
-	Requests      int64              `json:"requests"`
-	Solved        int64              `json:"solved"`
-	Simulated     int64              `json:"simulated"`
-	Swept         int64              `json:"swept"`
-	Errors        int64              `json:"errors"`
-	Timeouts      int64              `json:"timeouts"`
-	InFlight      int64              `json:"inFlight"`
-	Queued        int64              `json:"queued"`
-	Shed          int64              `json:"shed"`
-	Coalesced     int64              `json:"coalesced"`
-	Cache         cache.Stats        `json:"cache"`
-	Policy        string             `json:"policy"`
-	Router        routerStatsJSON    `json:"router"`
-	Resilience    resilienceJSON     `json:"resilience"`
-	Backends      []backendStatsJSON `json:"backends"`
-}
-
-// handleStats serves GET /stats: every backend is scraped concurrently
-// (healthy or not — an evicted backend that still answers contributes,
-// one that doesn't is marked unreachable and its counters are absent
-// from the sums).
+// handleStats serves GET /stats: the router's own blocks rendered from
+// its registry, plus the policy and the top-level counters summed over
+// every backend, scraped concurrently. A backend that answers counts
+// whether healthy or not; one that does not is marked unreachable and
+// left out of the sums.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout)
 	defer cancel()
 	p := rt.pool.Load()
-	scrapes := make([]*backendScrape, len(p.members))
+	scrapes := make([]*client.Stats, len(p.members))
 	var wg sync.WaitGroup
 	for i, m := range p.members {
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			var s backendScrape
+			var s client.Stats
 			if err := m.client.GetJSON(ctx, "/stats", &s); err == nil {
 				scrapes[i] = &s
 			}
@@ -926,49 +836,23 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	out := statsJSON{
-		UptimeSeconds: time.Since(rt.start).Seconds(),
-		Policy:        rt.cfg.Policy,
-		Router: routerStatsJSON{
-			Requests:   rt.requests.Load(),
-			Proxied:    rt.proxied.Load(),
-			Retried:    rt.retried.Load(),
-			BadGateway: rt.badGateway.Load(),
-			NoBackend:  rt.noBackend.Load(),
-			Scattered:  rt.scattered.Load(),
-			Panics:     rt.panics.Load(),
-		},
-		Resilience: rt.resilienceSnapshot(),
-	}
+	doc := rt.metrics.Stats()
+	doc["policy"] = rt.cfg.Policy
+	var sum client.Stats
 	for i, m := range p.members {
-		row := backendStatsJSON{
-			URL:          m.url,
-			Healthy:      m.healthy.Load(),
-			Proxied:      m.proxied.Load(),
-			Outstanding:  m.outstanding.Load(),
-			ProbedLoad:   m.probedLoad.Load(),
-			Evictions:    m.evictions.Load(),
-			Readmissions: m.readmissions.Load(),
-			Unreachable:  scrapes[i] == nil,
+		if scrapes[i] != nil {
+			sum.Add(scrapes[i])
+			continue
 		}
-		out.Backends = append(out.Backends, row)
-		if s := scrapes[i]; s != nil {
-			out.Requests += s.Requests
-			out.Solved += s.Solved
-			out.Simulated += s.Simulated
-			out.Swept += s.Swept
-			out.Errors += s.Errors
-			out.Timeouts += s.Timeouts
-			out.InFlight += s.InFlight
-			out.Queued += s.Queued
-			out.Shed += s.Shed
-			out.Coalesced += s.Coalesced
-			out.Cache.Hits += s.Cache.Hits
-			out.Cache.Misses += s.Cache.Misses
-			out.Cache.Evictions += s.Cache.Evictions
-			out.Cache.Entries += s.Cache.Entries
-			out.Cache.Capacity += s.Cache.Capacity
+		for _, row := range doc["backends"].([]map[string]any) {
+			if row["url"] == m.url {
+				row["unreachable"] = true
+			}
 		}
 	}
-	writeJSON(w, out)
+	// The sums sit at the top level under the names a single
+	// energyschedd uses, the ones client.Stats's tags spell.
+	sumJSON, _ := json.Marshal(sum)
+	json.Unmarshal(sumJSON, &doc)
+	writeJSON(w, doc)
 }

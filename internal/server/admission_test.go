@@ -97,8 +97,8 @@ func waitFor(t *testing.T, h http.Handler, what string, cond func(admissionStats
 // TestStatsKeysGolden pins the /stats top-level key set, including the
 // admission-control gauges (inFlight, queued, maxQueueDepth) and
 // counters (shed, coalesced) the load harness scrapes. A drift here is
-// a wire-format change: update the key list AND internal/loadgen's
-// statsScrape together.
+// a wire-format change: update the key list AND internal/client's
+// Stats together.
 func TestStatsKeysGolden(t *testing.T) {
 	h := server.New(server.Config{}).Handler()
 	m := decode[map[string]json.RawMessage](t, do(h, "GET", "/stats", ""))

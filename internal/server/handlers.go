@@ -10,9 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"energysched/internal/cache"
 	"energysched/internal/core"
-	"energysched/internal/jobs"
 	"energysched/internal/obs"
 )
 
@@ -415,52 +413,4 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 // handleHealthz serves GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"status": "ok"})
-}
-
-// statsJSON is the GET /stats payload. inFlight and queued are
-// gauges (current slot holders and semaphore waiters); shed and
-// coalesced are the admission-control counters the load harness
-// scrapes before and after a replay.
-type statsJSON struct {
-	UptimeSeconds float64                `json:"uptimeSeconds"`
-	Requests      int64                  `json:"requests"`
-	Solved        int64                  `json:"solved"`
-	Simulated     int64                  `json:"simulated"`
-	Swept         int64                  `json:"swept"`
-	Errors        int64                  `json:"errors"`
-	Timeouts      int64                  `json:"timeouts"`
-	InFlight      int64                  `json:"inFlight"`
-	MaxInFlight   int                    `json:"maxInFlight"`
-	Queued        int64                  `json:"queued"`
-	MaxQueueDepth int                    `json:"maxQueueDepth"`
-	Shed          int64                  `json:"shed"`
-	Coalesced     int64                  `json:"coalesced"`
-	Panics        int64                  `json:"panics"`
-	Cache         cache.Stats            `json:"cache"`
-	Jobs          jobs.Stats             `json:"jobs"`
-	Latency       map[string]latencyJSON `json:"latency"`
-}
-
-// handleStats serves GET /stats with request, solve, admission, cache
-// and per-solver latency-histogram counters.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, statsJSON{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      s.requests.Load(),
-		Solved:        s.solved.Load(),
-		Simulated:     s.simulated.Load(),
-		Swept:         s.swept.Load(),
-		Errors:        s.errors.Load(),
-		Timeouts:      s.timeouts.Load(),
-		InFlight:      s.inflight.Load(),
-		MaxInFlight:   s.cfg.MaxInFlight,
-		Queued:        s.queued.Load(),
-		MaxQueueDepth: s.cfg.MaxQueueDepth,
-		Shed:          s.shed.Load(),
-		Coalesced:     s.coalesced.Load(),
-		Panics:        s.panics.Load(),
-		Cache:         s.cache.Stats(),
-		Jobs:          s.jobs.Stats(),
-		Latency:       s.latency.snapshot(),
-	})
 }

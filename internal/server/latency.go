@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -38,73 +37,4 @@ func (lt *latencyTracker) observe(solver string, d time.Duration) {
 		lt.mu.Unlock()
 	}
 	h.Observe(int64(d))
-}
-
-// bucketJSON is one histogram bucket in the /stats payload; LeMs is
-// the inclusive upper edge in milliseconds, null-encoded as -1 for
-// the overflow bucket.
-type bucketJSON struct {
-	LeMs  float64 `json:"leMs"`
-	Count int64   `json:"count"`
-}
-
-// latencyJSON summarizes one solver's latency distribution.
-type latencyJSON struct {
-	Count   int64        `json:"count"`
-	TotalMs float64      `json:"totalMs"`
-	MeanMs  float64      `json:"meanMs"`
-	P50Ms   float64      `json:"p50Ms"`
-	P99Ms   float64      `json:"p99Ms"`
-	Buckets []bucketJSON `json:"buckets"`
-}
-
-// snapshot renders the tracker for /stats. Map iteration order does
-// not leak: encoding/json sorts object keys, and the per-solver
-// buckets are emitted in edge order. The payload is pinned byte-for-
-// byte by TestLatencySnapshotGolden — the hist extraction must stay
-// invisible to /stats consumers.
-func (lt *latencyTracker) snapshot() map[string]latencyJSON {
-	lt.mu.RLock()
-	names := make([]string, 0, len(lt.m))
-	for name := range lt.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make(map[string]latencyJSON, len(names))
-	for _, name := range names {
-		h := lt.m[name]
-		count, sumNs, counts := h.Snapshot()
-		bounds := h.Bounds()
-		j := latencyJSON{
-			Count:   count,
-			TotalMs: float64(sumNs) / 1e6,
-			Buckets: make([]bucketJSON, len(counts)),
-		}
-		if j.Count > 0 {
-			j.MeanMs = j.TotalMs / float64(j.Count)
-		}
-		for i := range j.Buckets {
-			le := -1.0
-			if i < len(bounds) {
-				le = bounds[i] / 1e6
-			}
-			j.Buckets[i] = bucketJSON{LeMs: le, Count: counts[i]}
-		}
-		j.P50Ms = quantileMs(bounds, counts, j.Count, 0.50)
-		j.P99Ms = quantileMs(bounds, counts, j.Count, 0.99)
-		out[name] = j
-	}
-	lt.mu.RUnlock()
-	return out
-}
-
-// quantileMs is hist's shared conservative bucket quantile converted
-// to the milliseconds the /stats payload speaks; the 0 (empty) and -1
-// (overflow) sentinels pass through unscaled.
-func quantileMs(boundsNs []float64, counts []int64, count int64, q float64) float64 {
-	v := hist.Quantile(boundsNs, counts, count, q)
-	if v > 0 {
-		return v / 1e6
-	}
-	return v
 }

@@ -6,7 +6,16 @@ import (
 	"time"
 
 	"energysched/internal/hist"
+	"energysched/internal/obs"
 )
+
+// latencyStats renders lt's histograms through the registry encoder
+// that serves the /stats latency block.
+func latencyStats(lt *latencyTracker) map[string]any {
+	r := obs.NewRegistry()
+	r.HistogramVec("test_duration_seconds", "", "latency", lt.collect)
+	return r.Stats()["latency"].(map[string]any)
+}
 
 // TestLatencyBucketBoundariesPinned pins the /stats bucket edges in
 // the unit the payload exposes (milliseconds): the extraction of the
@@ -16,7 +25,7 @@ func TestLatencyBucketBoundariesPinned(t *testing.T) {
 	wantLeMs := []float64{0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000, 3000, 10000, -1}
 	lt := newLatencyTracker()
 	lt.observe("s", time.Millisecond)
-	snap := lt.snapshot()["s"]
+	snap := latencyStats(lt)["s"].(obs.LatencyStat)
 	if len(snap.Buckets) != len(wantLeMs) {
 		t.Fatalf("got %d buckets, want %d", len(snap.Buckets), len(wantLeMs))
 	}
@@ -38,7 +47,7 @@ func TestLatencySnapshotGolden(t *testing.T) {
 	lt.observe("alpha", 2*time.Millisecond)
 	lt.observe("alpha", 99*time.Second)
 	lt.observe("beta", 700*time.Millisecond)
-	out, err := json.Marshal(lt.snapshot())
+	out, err := json.Marshal(latencyStats(lt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +67,7 @@ func TestHistogramObserveEdges(t *testing.T) {
 	lt.observe("s", first)           // inclusive upper edge → first bucket
 	lt.observe("s", first+1)         // just above → second bucket
 	lt.observe("s", 100*time.Second) // overflow bucket
-	snap := lt.snapshot()["s"]
+	snap := latencyStats(lt)["s"].(obs.LatencyStat)
 	if got := snap.Buckets[0].Count; got != 1 {
 		t.Errorf("bucket[0] = %d, want 1", got)
 	}

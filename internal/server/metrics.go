@@ -4,20 +4,14 @@ import (
 	"sort"
 	"time"
 
-	"energysched/internal/hist"
 	"energysched/internal/jobs"
 	"energysched/internal/obs"
 )
 
-// newRegistry builds the GET /metrics registry over the exact state
-// GET /stats reads: the same atomic counters, the same cache stats,
-// the same hist.Atomic latency histograms. Every family carries the
-// flattened /stats key it mirrors (the StatKey), which is what the
-// parity test checks in both directions. The go_/obs_ families and
-// the latency histogram's per-bucket detail are the only series with
-// no /stats counterpart — the former by the profiling-prefix rule,
-// the latter because /stats carries the identical buckets in its own
-// latency block, keyed by the histogram's observation count.
+// newRegistry builds the one registry behind both GET /metrics and
+// GET /stats: each family is declared once, with the /stats key its
+// value renders under. Only the go_/obs_ profiling families have no
+// key, so they stay out of /stats.
 func (s *Server) newRegistry() *obs.Registry {
 	r := obs.NewRegistry()
 	r.GaugeFunc("energyschedd_uptime_seconds", "Seconds since the server started.", "uptimeSeconds",
@@ -38,7 +32,7 @@ func (s *Server) newRegistry() *obs.Registry {
 	r.Counter("energyschedd_coalesced_total", "Requests served a concurrent leader's bytes.", "coalesced", &s.coalesced)
 	r.Counter("energyschedd_panics_total", "Handler panics contained by the recovery middleware.", "panics", &s.panics)
 
-	// Campaign-job families mirror the /stats "jobs" block: live
+	// Campaign-job families make up the /stats "jobs" block: live
 	// lifecycle gauges plus the durability counters (checkpoints
 	// written, corrupt files skipped, persistence failures, contained
 	// exec panics).
@@ -87,7 +81,7 @@ func (s *Server) newRegistry() *obs.Registry {
 		func() float64 { return float64(s.cache.Stats().Capacity) })
 
 	r.HistogramVec("energyschedd_solve_duration_seconds",
-		"Stage wall time by solver name (plus the simulate pseudo-solver).",
+		"Stage wall time by solver name (plus the simulate pseudo-solver).", "latency",
 		s.latency.collect)
 
 	obs.RegisterRuntime(r)
@@ -95,8 +89,8 @@ func (s *Server) newRegistry() *obs.Registry {
 	return r
 }
 
-// collect emits one histogram series per tracked solver, reading the
-// same hist.Atomic state the /stats latency block snapshots.
+// collect emits one histogram series per tracked solver, in
+// nanoseconds.
 func (lt *latencyTracker) collect(emit func(obs.HistSample)) {
 	lt.mu.RLock()
 	names := make([]string, 0, len(lt.m))
@@ -105,14 +99,14 @@ func (lt *latencyTracker) collect(emit func(obs.HistSample)) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		count, sumNs, counts := lt.m[name].Snapshot()
+		h := lt.m[name]
+		count, sumNs, counts := h.Snapshot()
 		emit(obs.HistSample{
-			Labels:  []obs.Label{{Key: "solver", Value: name}},
-			Bounds:  hist.LatencySecondsBounds(),
-			Counts:  counts,
-			Count:   count,
-			Sum:     float64(sumNs) / 1e9,
-			StatKey: "latency." + name,
+			Labels:   []obs.Label{{Key: "solver", Value: name}},
+			BoundsNs: h.Bounds(),
+			Counts:   counts,
+			Count:    count,
+			SumNs:    sumNs,
 		})
 	}
 	lt.mu.RUnlock()

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,93 +19,6 @@ func doReq(h http.Handler, req *http.Request) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
-}
-
-// flattenStats reduces the GET /stats JSON to the dotted keys the
-// registry's StatKey tags speak: top-level numbers keep their JSON
-// name, cache fields become cache.<field>, and each latency entry
-// collapses to its observation count under latency.<solver> — the
-// remaining latency fields (mean, quantiles, buckets) are derived
-// views of the same histogram the /metrics exposition carries in
-// full, not independent state.
-func flattenStats(t *testing.T, raw []byte) map[string]float64 {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("stats payload: %v", err)
-	}
-	out := map[string]float64{}
-	for k, v := range m {
-		switch k {
-		case "latency":
-			for solver, lv := range v.(map[string]any) {
-				out["latency."+solver] = lv.(map[string]any)["count"].(float64)
-			}
-		case "cache":
-			for ck, cv := range v.(map[string]any) {
-				out["cache."+ck] = cv.(float64)
-			}
-		case "jobs":
-			for jk, jv := range v.(map[string]any) {
-				out["jobs."+jk] = jv.(float64)
-			}
-		default:
-			if f, ok := v.(float64); ok {
-				out[k] = f
-			}
-		}
-	}
-	return out
-}
-
-// TestMetricsStatsParity is the one-registry-two-views gate: every
-// flattened /stats counter must be a StatKey-tagged /metrics sample
-// with the same value, every tagged sample must appear in /stats, and
-// every untagged family must carry a profiling prefix.
-func TestMetricsStatsParity(t *testing.T) {
-	s := server.New(server.Config{})
-	h := s.Handler()
-
-	// Touch every counter family at least once: a miss, a hit, a
-	// campaign, an error.
-	if rec := do(h, "POST", "/v1/solve", `{"instance": `+chainInstance+`}`); rec.Code != 200 {
-		t.Fatalf("solve: %d %s", rec.Code, rec.Body.String())
-	}
-	do(h, "POST", "/v1/solve", `{"instance": `+chainInstance+`}`)
-	if rec := do(h, "POST", "/v1/simulate", `{"instance": `+chainInstance+`, "trials": 50}`); rec.Code != 200 {
-		t.Fatalf("simulate: %d %s", rec.Code, rec.Body.String())
-	}
-	do(h, "POST", "/v1/solve", `not json`)
-
-	stats := flattenStats(t, do(h, "GET", "/stats", "").Body.Bytes())
-	mapped, unmapped := s.Metrics().StatKeys()
-
-	for key, want := range stats {
-		got, ok := mapped[key]
-		if !ok {
-			t.Errorf("stats key %q has no /metrics counterpart", key)
-			continue
-		}
-		if key == "uptimeSeconds" {
-			if math.Abs(got-want) > 5 {
-				t.Errorf("uptimeSeconds drifted: stats %v, metrics %v", want, got)
-			}
-			continue
-		}
-		if got != want {
-			t.Errorf("value mismatch for %q: stats %v, metrics %v", key, want, got)
-		}
-	}
-	for key := range mapped {
-		if _, ok := stats[key]; !ok {
-			t.Errorf("metrics StatKey %q has no /stats counterpart", key)
-		}
-	}
-	for _, name := range unmapped {
-		if !strings.HasPrefix(name, "go_") && !strings.HasPrefix(name, "obs_") {
-			t.Errorf("family %q has no StatKey and no profiling prefix", name)
-		}
-	}
 }
 
 // TestMetricsEndpoint asserts GET /metrics serves parseable exposition

@@ -232,7 +232,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
 	s.mux.HandleFunc("GET /v1/solvers", s.handleSolvers)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
+	s.mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, s.metrics.Stats()) })
 	s.mux.Handle("GET /metrics", obs.MetricsHandler(s.metrics))
 	s.mux.Handle("GET /debug/traces", obs.TracesHandler(s.tracer))
 	return s

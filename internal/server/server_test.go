@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"energysched/internal/client"
 	"energysched/internal/core"
 	"energysched/internal/server"
 )
@@ -71,19 +72,6 @@ type resultJSON struct {
 	Solver   string  `json:"solver"`
 	Energy   float64 `json:"energy"`
 	Makespan float64 `json:"makespan"`
-}
-
-type statsJSON struct {
-	Requests int64 `json:"requests"`
-	Solved   int64 `json:"solved"`
-	Errors   int64 `json:"errors"`
-	Timeouts int64 `json:"timeouts"`
-	Cache    struct {
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Evictions int64 `json:"evictions"`
-		Entries   int   `json:"entries"`
-	} `json:"cache"`
 }
 
 // TestEndpointStatuses is the table-driven sweep over every endpoint's
@@ -174,7 +162,7 @@ func TestCacheHitVsMiss(t *testing.T) {
 		t.Fatalf("volatile option: status %d, X-Cache %q", fourth.Code, fourth.Header().Get("X-Cache"))
 	}
 
-	st := decode[statsJSON](t, do(h, "GET", "/stats", ""))
+	st := decode[client.Stats](t, do(h, "GET", "/stats", ""))
 	if st.Cache.Hits < 2 || st.Cache.Misses < 2 || st.Solved != 2 {
 		t.Errorf("stats = %+v, want ≥2 hits, ≥2 misses, exactly 2 solves", st)
 	}
@@ -328,7 +316,7 @@ func TestStatsCountsRequestsAndErrors(t *testing.T) {
 	h := server.New(server.Config{}).Handler()
 	do(h, "POST", "/v1/solve", `{"instance":`+chainInstance+`}`)
 	do(h, "POST", "/v1/solve", `not json`)
-	st := decode[statsJSON](t, do(h, "GET", "/stats", ""))
+	st := decode[client.Stats](t, do(h, "GET", "/stats", ""))
 	if st.Requests != 3 {
 		t.Errorf("requests = %d, want 3", st.Requests)
 	}
@@ -360,7 +348,7 @@ func TestConcurrentSolvesUnderRace(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	st := decode[statsJSON](t, do(h, "GET", "/stats", ""))
+	st := decode[client.Stats](t, do(h, "GET", "/stats", ""))
 	if st.Cache.Hits == 0 {
 		t.Error("no cache hits across 80 requests over 4 distinct instances")
 	}
