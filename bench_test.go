@@ -1,7 +1,7 @@
 // Package energysched_test is the benchmark harness: one benchmark per
-// paper claim (regenerating the tables of EXPERIMENTS.md via the
-// drivers in internal/experiments) plus micro-benchmarks of every
-// solver substrate.
+// paper claim (regenerating the claim tables via the drivers in
+// internal/experiments; see "Claim drivers" in the README) plus
+// micro-benchmarks of every solver substrate.
 //
 // Run: go test -bench=. -benchmem
 package energysched_test
@@ -35,7 +35,7 @@ import (
 	"energysched/internal/workload"
 )
 
-// --- Claim benchmarks: each regenerates one table of EXPERIMENTS.md ---
+// --- Claim benchmarks: each regenerates one claim-driver table ---
 
 func benchReport(b *testing.B, run func() *experiments.Report) {
 	b.Helper()
@@ -256,7 +256,7 @@ func BenchmarkScheduleValidate(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md) ---
+// --- Ablation benchmarks (design choices behind the solvers) ---
 
 // Closed form vs numerical solver on the same series-parallel
 // instance: why the closed forms matter.

@@ -6,20 +6,15 @@ import (
 
 // TestDriversByteIdentical is the determinism invariant (SNIPPETS
 // H13): every driver is seeded, so running one twice must render
-// byte-identical tables — worker scheduling, map iteration or float
-// accumulation order must never leak into the output. Two drivers are
-// enough to cover the two risky substrates: E12 sweeps six random DAG
-// classes through all TRI-CRIT heuristics, E13 is the Monte-Carlo
-// fault injector.
+// byte-identical tables and bit-identical metrics — worker scheduling,
+// map iteration, float accumulation order or wall time must never
+// leak into either. Wall-clock measurements live in Report.Timing,
+// which is exempt.
 func TestDriversByteIdentical(t *testing.T) {
-	drivers := map[string]func() *Report{
-		"E12HeuristicSweep": E12HeuristicSweep,
-		"E13FaultSim":       E13FaultSim,
-	}
-	for name, fn := range drivers {
-		t.Run(name, func(t *testing.T) {
-			first := fn()
-			second := fn()
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			first := e.Run()
+			second := e.Run()
 			a, b := first.Table.String(), second.Table.String()
 			if a != b {
 				t.Errorf("two seeded runs rendered different tables:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
@@ -27,7 +22,6 @@ func TestDriversByteIdentical(t *testing.T) {
 			if len(a) == 0 {
 				t.Fatal("driver rendered an empty table")
 			}
-			// The scalar metrics must be bit-identical too.
 			if len(first.Metrics) != len(second.Metrics) {
 				t.Fatalf("metric sets differ: %v vs %v", first.Metrics, second.Metrics)
 			}

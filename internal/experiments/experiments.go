@@ -1,8 +1,9 @@
 // Package experiments contains one driver per claim of the paper
-// (C1–C15 in DESIGN.md). Every driver is deterministic (fixed seeds),
-// returns a printable table plus a map of scalar metrics that the test
-// suite asserts on, and is regenerated by a bench in bench_test.go.
-// EXPERIMENTS.md records the paper-claim vs measured outcome for each.
+// (C1–C15; see "Claim drivers" in the README). Every driver is
+// deterministic (fixed seeds) and returns a printable table plus a map
+// of scalar metrics that the test suite asserts on; wall-clock
+// measurements go to a separate timing line. Each driver is also
+// regenerated by a bench in bench_test.go.
 package experiments
 
 import (
@@ -24,10 +25,20 @@ import (
 )
 
 // Report is a driver result: a human-readable table and scalar metrics
-// for assertions.
+// for assertions, both byte-identical across runs, plus Timing, the
+// driver's wall-clock measurements ("" when it takes none).
 type Report struct {
 	Table   *tabulate.Table
 	Metrics map[string]float64
+	Timing  string
+}
+
+// timef appends one wall-clock measurement to the report's Timing.
+func (r *Report) timef(format string, args ...any) {
+	if r.Timing != "" {
+		r.Timing += "; "
+	}
+	r.Timing += fmt.Sprintf(format, args...)
 }
 
 func newReport(t *tabulate.Table) *Report {
@@ -325,7 +336,7 @@ func E05ForkTriCrit() *Report {
 // bound and the DISCRETE optimum on the same ladder.
 func E06VddLP() *Report {
 	t := tabulate.New("E06 (C6) — VDD-HOPPING BI-CRIT via LP",
-		"class", "n", "E_cont", "E_vdd", "E_disc", "vdd_gap_%", "disc_gap_%", "lp_ms")
+		"class", "n", "E_cont", "E_vdd", "E_disc", "vdd_gap_%", "disc_gap_%")
 	rep := newReport(t)
 	rng := rand.New(rand.NewSource(106))
 	levels := model.XScaleLevels()
@@ -359,7 +370,7 @@ func E06VddLP() *Report {
 		if err != nil {
 			panic(err)
 		}
-		lpMS := float64(time.Since(start).Microseconds()) / 1000
+		rep.timef("%s lp_ms %.3f", class, float64(time.Since(start).Microseconds())/1000)
 		dres, err := discrete.SolveExact(g, mp, smD, D)
 		if err != nil {
 			panic(err)
@@ -373,7 +384,7 @@ func E06VddLP() *Report {
 		if -dGap > worstOrder {
 			worstOrder = -dGap
 		}
-		t.AddRow(class.String(), g.N(), cont.Energy, vres.Energy, dres.Energy, vGap, dGap, lpMS)
+		t.AddRow(class.String(), g.N(), cont.Energy, vres.Energy, dres.Energy, vGap, dGap)
 	}
 	rep.Metrics["worst_hierarchy_violation_pct"] = worstOrder
 	t.AddNote("E_cont ≤ E_vdd ≤ E_disc holds on every instance (worst violation %.2e%%)", worstOrder)

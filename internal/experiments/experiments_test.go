@@ -3,7 +3,8 @@ package experiments
 import "testing"
 
 // Each test runs a claim driver and asserts the paper's claim on the
-// resulting metrics — the machine-checkable half of EXPERIMENTS.md.
+// resulting metrics — the machine-checkable half of each claim table
+// (see "Claim drivers" in the README).
 
 func TestE01ForkClosedForm(t *testing.T) {
 	r := E01ForkClosedForm()

@@ -436,9 +436,6 @@ func (rt *Router) writePanic(w http.ResponseWriter, rec any) {
 	})
 }
 
-// Metrics returns the router's /metrics registry.
-func (rt *Router) Metrics() *obs.Registry { return rt.metrics }
-
 // Tracer returns the router's tracer, nil when tracing is disabled.
 func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
 

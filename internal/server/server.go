@@ -278,10 +278,6 @@ func (s *Server) writePanic(w http.ResponseWriter, rec any) {
 	})
 }
 
-// Metrics exposes the registry behind GET /metrics — the same atomics
-// GET /stats reads — for the parity tests.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
 // Tracer exposes the server's tracer (nil when tracing is disabled).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
