@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -9,10 +12,12 @@ import (
 // byte-identical tables and bit-identical metrics — worker scheduling,
 // map iteration, float accumulation order or wall time must never
 // leak into either. Wall-clock measurements live in Report.Timing,
-// which is exempt.
+// which is exempt. Subtests are named after the driver function
+// (E12HeuristicSweep, …).
 func TestDriversByteIdentical(t *testing.T) {
 	for _, e := range All() {
-		t.Run(e.ID, func(t *testing.T) {
+		name := runtime.FuncForPC(reflect.ValueOf(e.Run).Pointer()).Name()
+		t.Run(name[strings.LastIndexByte(name, '.')+1:], func(t *testing.T) {
 			first := e.Run()
 			second := e.Run()
 			a, b := first.Table.String(), second.Table.String()
