@@ -12,7 +12,7 @@ GO ?= go
 # The named kernel benchmarks guarded by the regression gate, plus the
 # server and router cache-hit paths, whose allocs/op catch any extra
 # decode or JSON scan added to a hit.
-GATED_BENCHES = BenchmarkConvexSolve64Tasks|BenchmarkChainFirstHeuristic64Tasks|BenchmarkSimplexSolve|BenchmarkDiscreteExact12Tasks|BenchmarkAblation_WaterfillChain32|BenchmarkSimulateChain64|BenchmarkCampaign1k|BenchmarkCampaignFaultFree1k|BenchmarkSweepAllClasses|BenchmarkCampaignChunked1M|BenchmarkCampaignAdaptive|Benchmark_ServerSolveCacheHit|Benchmark_RouterSolveCacheHit
+GATED_BENCHES = BenchmarkConvexSolve64Tasks|BenchmarkChainFirstHeuristic64Tasks|BenchmarkSimplexSolve|BenchmarkDiscreteExact12Tasks|BenchmarkAblation_WaterfillChain32|BenchmarkSimulateChain64|BenchmarkCampaign1k|BenchmarkCampaignFaultFree1k|BenchmarkCampaignFaultFree1kHeapOnly|BenchmarkSweepAllClasses|BenchmarkCampaignChunked1M|BenchmarkCampaignAdaptive|Benchmark_ServerSolveCacheHit|Benchmark_RouterSolveCacheHit
 
 BENCH_FLAGS = -run='^$$' -bench='^($(GATED_BENCHES))$$' -benchmem -benchtime=10x -count=5
 
@@ -36,9 +36,9 @@ race:
 	$(GO) test -race ./...
 
 # simgolden reruns the simulator's golden-digest, fast-path equivalence
-# and chunked-campaign tests with every trial forced through the event
-# heap, so the heap-only path is also held to the pinned digests
-# (internal/sim/golden_test.go).
+# and chunked-campaign tests with the fast path off, every trial forced
+# through the full trial kernel, so that path is also held to the
+# pinned digests (internal/sim/golden_test.go).
 simgolden:
 	ENERGYSCHED_SIM_NO_FASTPATH=1 $(GO) test -count=1 -run 'Golden|Equivalence|Chunked' ./internal/sim
 

@@ -554,7 +554,7 @@ func BenchmarkSimulateChain64(b *testing.B) {
 		b.Fatal(err)
 	}
 	var tr sim.Trace
-	r.Run(0, &tr) // warm the event heap
+	r.Run(0, &tr) // warm the trace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -600,7 +600,7 @@ func benchCampaignFaultFree(b *testing.B, heapOnly bool) {
 	}
 	ctx := context.Background()
 	if _, err := r.RunCampaign(ctx, 1000, 4); err != nil {
-		b.Fatal(err) // warm the scratch (clones, slots, histograms)
+		b.Fatal(err) // warm the scratch (worker blocks, slots, histograms)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -621,8 +621,9 @@ func benchCampaignFaultFree(b *testing.B, heapOnly bool) {
 // steady-state allocations. Gated by cmd/benchgate.
 func BenchmarkCampaignFaultFree1k(b *testing.B) { benchCampaignFaultFree(b, false) }
 
-// BenchmarkCampaignFaultFree1kHeapOnly is the ablation baseline: the
-// same campaign with every trial forced through the event heap.
+// BenchmarkCampaignFaultFree1kHeapOnly is the ablation baseline and
+// the trial kernel's own benchmark: the same campaign with every trial
+// forced through the full kernel. Gated by cmd/benchgate.
 func BenchmarkCampaignFaultFree1kHeapOnly(b *testing.B) { benchCampaignFaultFree(b, true) }
 
 // BenchmarkCampaignChunked1M measures a full million-trial chunked

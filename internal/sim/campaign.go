@@ -13,13 +13,14 @@
 // deterministic fault-free schedule, and therefore cost only one fused
 // loop that draws each occurrence value and compares it with its
 // attempt's integer threshold, storing nothing; the worker then copies
-// the precomputed fault-free slot. The event heap runs solely for the
-// faulty minority, whose workers also locate the outcome histogram
-// buckets, so the sequential merge only adds and counts — it does no
-// bucket search. Worker Runners are Clones sharing the immutable
-// per-attempt tables, their scratch slab-allocated in one block per
-// type, and the whole campaign state is retained on the base Runner,
-// so repeated campaigns run with near-zero steady-state allocation.
+// the precomputed fault-free slot. The full trial kernel runs solely
+// for the faulty minority, whose workers also locate the outcome
+// histogram buckets, so the sequential merge only adds and counts —
+// it does no bucket search. Workers share the one Runner's immutable
+// tables and each writes only its own trial scratch, laid out so that
+// no two workers write the same cache line; the whole campaign state
+// is retained on the Runner, so repeated campaigns run with near-zero
+// steady-state allocation.
 package sim
 
 import (
@@ -58,7 +59,7 @@ type CampaignOptions struct {
 	DisableFaults bool
 	// Workers caps the worker pool (default GOMAXPROCS).
 	Workers int
-	// DisableFastPath forces every trial through the event heap (see
+	// DisableFastPath forces every trial through the full kernel (see
 	// Options.DisableFastPath).
 	DisableFastPath bool
 }
@@ -98,7 +99,7 @@ type Campaign struct {
 	// FaultFreeTrials counts trials in which no execution attempt
 	// faulted — exactly the trials the fast path can serve. The count
 	// is derived from the merged outcomes, so it is identical whether
-	// the fast path ran or the event heap replayed every trial.
+	// the fast path ran or the full kernel replayed every trial.
 	FaultFreeTrials int `json:"faultFreeTrials"`
 	// FaultFreeRate is FaultFreeTrials over Trials: the fast-path hit
 	// rate of the campaign.
@@ -125,7 +126,7 @@ type Campaign struct {
 // CampaignProfile is the per-phase timing of one RunCampaign call: how
 // the wall clock split between the parallel trials phase and the
 // sequential merge, and how many trials the fault-free fast path
-// served versus the event heap. Nondeterministic by nature, so it
+// served versus the full kernel. Nondeterministic by nature, so it
 // never participates in campaign caching or equivalence.
 type CampaignProfile struct {
 	// TrialsNs is the wall time of the parallel trial phase (pool launch
@@ -133,7 +134,7 @@ type CampaignProfile struct {
 	TrialsNs int64 `json:"trialsNs"`
 	MergeNs  int64 `json:"mergeNs"`
 	// FastPathTrials counts trials served by the precomputed fault-free
-	// outcome; HeapTrials ran the event heap.
+	// outcome; HeapTrials ran the full trial kernel.
 	FastPathTrials int64 `json:"fastPathTrials"`
 	HeapTrials     int64 `json:"heapTrials"`
 	// Workers is the resolved pool size the campaign ran with.

@@ -187,22 +187,19 @@ func WilsonHalfWidth(s, n int, z float64) float64 {
 const claimSize = 64
 
 // campaignScratch is the campaign state a Runner retains across
-// campaigns, and the worker pool every campaign runs on. The
-// per-worker runners (the owning Runner, then clones with
-// slab-allocated per-trial scratch) and traces, the trial-slot array
-// of one chunk and the outcome histograms grow monotonically — a
-// campaign needing more workers or slots than any before it
-// reallocates, every other campaign reuses. The pool state is reset
-// by each campaign: its goroutines are spawned once per campaign and
-// woken per chunk through a shared token channel, so running another
-// chunk allocates nothing — the property that keeps a 1M-trial
-// campaign's allocations independent of its trial count.
+// campaigns, and the worker pool every campaign runs on. The trial-slot
+// array of one chunk and the outcome histograms grow monotonically, as
+// does the Runner's per-worker trial scratch — a campaign needing more
+// workers or slots than any before it reallocates, every other
+// campaign reuses. The pool state is reset by each campaign: its
+// goroutines are spawned once per campaign and woken per chunk through
+// a shared token channel, so running another chunk allocates nothing —
+// the property that keeps a 1M-trial campaign's allocations
+// independent of its trial count.
 type campaignScratch struct {
-	runners []*Runner // worker w runs runners[w]
-	traces  []Trace
-	slots   []trialSlot // capacity one chunk; re-sliced per chunk
-	eHist   *hist.Histogram
-	mHist   *hist.Histogram
+	slots []trialSlot // capacity one chunk; re-sliced per chunk
+	eHist *hist.Histogram
+	mHist *hist.Histogram
 
 	ctx     context.Context
 	workers int
@@ -214,9 +211,9 @@ type campaignScratch struct {
 }
 
 // campaignScratchFor returns the runner's campaign scratch, grown to
-// hold workers runners and slots trial slots. Runner 0 is the base
-// runner itself; clones cover the rest, with each scratch type
-// allocated as one slab sliced across the clones.
+// hold slots trial slots, and grows the runner's trial scratch to one
+// line-isolated block per worker. Workers share the Runner's immutable
+// tables and write only their own block and their claimed slots.
 func (r *Runner) campaignScratchFor(workers, slots int) *campaignScratch {
 	cs := r.camp
 	if cs == nil {
@@ -226,32 +223,8 @@ func (r *Runner) campaignScratchFor(workers, slots int) *campaignScratch {
 		}
 		r.camp = cs
 	}
-	if len(cs.runners) < workers {
-		need := workers - 1
-		n := len(r.first)
-		hc := cap(r.heap)
-		slab := make([]Runner, need)
-		indeg := make([]int32, need*n)
-		done := make([]bool, need*n)
-		xs := make([]uint64, 2*need*n)
-		heaps := make([]event, need*hc)
-		runners := make([]*Runner, workers)
-		runners[0] = r
-		for w := 0; w < need; w++ {
-			c := &slab[w]
-			// Same table sharing as Clone, scratch carved from slabs.
-			*c = *r
-			c.camp = nil
-			c.indeg = indeg[w*n : (w+1)*n]
-			c.done = done[w*n : (w+1)*n]
-			c.x = xs[2*w*n : 2*(w+1)*n]
-			c.heap = heaps[w*hc : w*hc : (w+1)*hc]
-			runners[w+1] = c
-		}
-		cs.runners = runners
-	}
-	if len(cs.traces) < workers {
-		cs.traces = make([]Trace, workers)
+	if len(r.scr) < workers {
+		r.scr = newTrialScratch(workers, len(r.first))
 	}
 	if cap(cs.slots) < slots {
 		cs.slots = make([]trialSlot, slots)
@@ -261,22 +234,22 @@ func (r *Runner) campaignScratchFor(workers, slots int) *campaignScratch {
 
 // start resets the pool for one campaign and launches its goroutines,
 // one per worker.
-func (cs *campaignScratch) start(ctx context.Context, workers int) {
+func (cs *campaignScratch) start(ctx context.Context, r *Runner, workers int) {
 	cs.ctx, cs.workers = ctx, workers
 	cs.work = make(chan struct{}, workers)
-	for _, rn := range cs.runners[:workers] {
-		rn.fastServed = 0
+	for w := range workers {
+		r.scr[w].served[0] = 0
 	}
 	cs.exitWG.Add(workers)
 	for w := 0; w < workers; w++ {
-		go cs.worker(w)
+		go cs.worker(r, &r.scr[w])
 	}
 }
 
-func (cs *campaignScratch) worker(w int) {
+func (cs *campaignScratch) worker(r *Runner, s *trialScratch) {
 	defer cs.exitWG.Done()
 	for range cs.work {
-		cs.runClaims(cs.runners[w], &cs.traces[w])
+		cs.runClaims(r, s)
 		cs.chunkWG.Done()
 	}
 }
@@ -284,8 +257,9 @@ func (cs *campaignScratch) worker(w int) {
 // runClaims claims claimSize-long runs of slot indices until the
 // counter runs past the chunk or the context is cancelled, executing
 // trial base+i into slots[i].
-func (cs *campaignScratch) runClaims(r *Runner, tr *Trace) {
-	n := len(cs.slots)
+func (cs *campaignScratch) runClaims(r *Runner, s *trialScratch) {
+	slots, base := cs.slots, cs.base
+	n := len(slots)
 	for {
 		lo := int(cs.next.Add(claimSize)) - claimSize
 		if lo >= n || cs.ctx.Err() != nil {
@@ -293,12 +267,13 @@ func (cs *campaignScratch) runClaims(r *Runner, tr *Trace) {
 		}
 		hi := min(lo+claimSize, n)
 		for t := lo; t < hi; t++ {
-			if r.fastTrial(cs.base + t) {
-				cs.slots[t] = r.ffSlot
+			if r.fastTrial(s, base+t) {
+				slots[t] = r.ffSlot
 				continue
 			}
-			r.heapTrial(cs.base+t, tr)
-			cs.slots[t] = newTrialSlot(&tr.Outcome)
+			r.draw(s, base+t)
+			out := r.runFlat(s, nil)
+			slots[t] = newTrialSlot(&out)
 		}
 	}
 }
@@ -404,7 +379,7 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 		return nil, fmt.Errorf("sim: resume state without a start chunk")
 	}
 
-	scratch.start(ctx, workers)
+	scratch.start(ctx, r, workers)
 	defer scratch.stop()
 
 	stopEligible := func() bool {
@@ -449,8 +424,8 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 	c.StoppedEarly = st.TrialsRun < trials
 	c.CIHalfWidth = WilsonHalfWidth(st.Successes, st.TrialsRun, z)
 	var fastServed int64
-	for _, rn := range scratch.runners[:workers] {
-		fastServed += rn.fastServed
+	for _, s := range r.scr[:workers] {
+		fastServed += int64(s.served[0])
 	}
 	c.Profile = CampaignProfile{
 		TrialsNs:       trialsNs,
@@ -464,7 +439,7 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 
 // chunkResumeTrials is how many of the campaign's trials were already
 // merged before this process ran any — they contribute to the state
-// but not to this run's fast-path/heap accounting.
+// but not to this run's fast-path/full-kernel accounting.
 func chunkResumeTrials(opts ChunkedOptions) int {
 	if opts.Resume == nil {
 		return 0

@@ -388,7 +388,7 @@ func TestChunkedAllocsFlat(t *testing.T) {
 
 // TestChunkedRunCampaignBytesFlat: RunCampaign runs on the chunked
 // engine, so the bytes a campaign allocates on a fresh Runner (setup,
-// worker clones, one chunk of trial slots, the result) do not grow
+// worker scratch, one chunk of trial slots, the result) do not grow
 // with the trial count. A whole-campaign slot array would add 32 B
 // per trial, 3.75 MiB between the two sizes below.
 func TestChunkedRunCampaignBytesFlat(t *testing.T) {

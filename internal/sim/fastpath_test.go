@@ -15,7 +15,7 @@ import (
 // fastEqInstance builds a solved TRI-CRIT instance of the class with
 // real fault pressure (λ0 high enough that a few-hundred-trial
 // campaign mixes fault-free and faulty trials, so both the fast path
-// and the event heap are exercised).
+// and the full kernel are exercised).
 func fastEqInstance(t *testing.T, cls workload.Class, seed int64) (*core.Instance, *core.Result) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed + int64(cls)*1_000_003))
@@ -44,7 +44,7 @@ func fastEqInstance(t *testing.T, cls workload.Class, seed int64) (*core.Instanc
 // campaign run with the fault-free fast path enabled must be
 // bit-identical — whole Campaign JSON, so energy, makespan, flags,
 // fault counts and histograms alike — to a campaign forced through
-// the event heap for every trial, across seeds × recovery policies ×
+// the full kernel for every trial, across seeds × recovery policies ×
 // workload classes × worst-case replay.
 func TestFastPathEquivalence(t *testing.T) {
 	classes := []workload.Class{workload.ClassChain, workload.ClassForkJoin, workload.ClassLayered}
@@ -102,7 +102,7 @@ func TestFastPathEquivalence(t *testing.T) {
 }
 
 // TestFastPathEnvForcesHeap: setting the NoFastPathEnv variable must
-// force Runners built afterwards through the event heap — and the
+// force Runners built afterwards through the full kernel — and the
 // campaign must still be bit-identical, which doubles as the
 // env-forced leg of the equivalence gate.
 func TestFastPathEnvForcesHeap(t *testing.T) {
@@ -133,8 +133,8 @@ func TestFastPathEnvForcesHeap(t *testing.T) {
 
 // TestFastPathActuallyEngages plants a sentinel in the precomputed
 // fault-free outcome and checks a fault-free trial emits it — i.e.
-// the fast path really short-circuits instead of re-running the heap
-// to the same numbers.
+// the fast path really short-circuits instead of re-running the
+// kernel to the same numbers.
 func TestFastPathActuallyEngages(t *testing.T) {
 	in := triChain(t, 8, 1e-9) // effectively fault-free at this λ0
 	res := solve(t, in)
@@ -161,7 +161,7 @@ func TestFastPathActuallyEngages(t *testing.T) {
 }
 
 // TestFaultFreeOutcomeMatchesDisabledFaults: the precomputed outcome
-// the fast path emits must equal a fault-disabled heap execution.
+// the fast path emits must equal a fault-disabled full-kernel run.
 func TestFaultFreeOutcomeMatchesDisabledFaults(t *testing.T) {
 	in := triChain(t, 12, 0.02)
 	res := solve(t, in)
@@ -178,32 +178,49 @@ func TestFaultFreeOutcomeMatchesDisabledFaults(t *testing.T) {
 	}
 }
 
-// TestClone checks the sharing contract: immutable tables shared,
-// scratch distinct, outcomes identical to the source runner's.
-func TestClone(t *testing.T) {
+// TestCampaignWorkersShareTables checks the worker contract: every
+// campaign worker runs on the one Runner's immutable tables with its
+// own scratch block, and reaches the same outcome on every trial as
+// Run does.
+func TestCampaignWorkersShareTables(t *testing.T) {
 	in := triChain(t, 10, 0.03)
 	res := solve(t, in)
 	r, err := NewRunner(in, res.Schedule, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := r.Clone()
-	if &r.first[0] != &c.first[0] || &r.second[0] != &c.second[0] || r.cg != c.cg {
-		t.Fatal("clone does not share the immutable attempt tables")
+	if _, err := r.RunCampaign(context.Background(), 512, 4); err != nil {
+		t.Fatal(err)
 	}
-	if &r.x[0] == &c.x[0] || &r.indeg[0] == &c.indeg[0] {
-		t.Fatal("clone shares per-trial scratch with its source")
+	if len(r.scr) != 4 {
+		t.Fatalf("campaign left %d scratch blocks, want 4", len(r.scr))
 	}
-	if c.ff != r.ff {
-		t.Fatal("clone lost the precomputed fault-free outcome")
-	}
-	var trR, trC Trace
-	for trial := 0; trial < 50; trial++ {
-		r.Run(trial, &trR)
-		c.Run(trial, &trC)
-		if trR.Outcome != trC.Outcome {
-			t.Fatalf("trial %d: clone outcome %+v != source %+v", trial, trC.Outcome, trR.Outcome)
+	for w := 1; w < len(r.scr); w++ {
+		if &r.scr[w].x[0] == &r.scr[0].x[0] || &r.scr[w].rel[0] == &r.scr[0].rel[0] {
+			t.Fatalf("worker %d shares trial scratch with worker 0", w)
 		}
+	}
+	var tr Trace
+	faulty := 0
+	for trial := 0; trial < 50; trial++ {
+		r.Run(trial, &tr)
+		if tr.Outcome.Faults > 0 {
+			faulty++
+		}
+		for w := 1; w < len(r.scr); w++ {
+			s := &r.scr[w]
+			got := r.ff
+			if !r.fastTrial(s, trial) {
+				r.draw(s, trial)
+				got = r.runFlat(s, nil)
+			}
+			if got != tr.Outcome {
+				t.Fatalf("trial %d: worker %d outcome %+v != Run %+v", trial, w, got, tr.Outcome)
+			}
+		}
+	}
+	if faulty == 0 {
+		t.Fatal("no trial faulted")
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -51,9 +52,9 @@ func TestOccurrenceThresholdExact(t *testing.T) {
 	}
 }
 
-// TestRecordedMatchesUnrecordedHeap: a recorded run pushes Start
-// events and decides failures when they pop; an unrecorded heap run
-// pushes Finish events with the failure already decided. Every trial's
+// TestRecordedMatchesUnrecordedHeap: a recorded run also builds and
+// sorts its event log on the kernel's pass; an unrecorded run with the
+// fast path off runs the bare kernel on every trial. Every trial's
 // Outcome must agree bit for bit between the two.
 func TestRecordedMatchesUnrecordedHeap(t *testing.T) {
 	for _, class := range []string{"chain", "multiproc"} {
@@ -99,12 +100,13 @@ func TestRecordedMatchesUnrecordedHeap(t *testing.T) {
 	}
 }
 
-// TestKernelLayout pins the sizes the kernel relies on: 16-byte heap
-// events, 32-byte trial slots (bucket indices fit in the padding), and
-// an outcome grid whose bucket indices fit uint16.
+// TestKernelLayout pins the sizes the kernel relies on: 16-byte
+// finish keys (a size dividing the 64-byte line the scratch layout
+// pads to), 32-byte trial slots (bucket indices fit in the padding),
+// and an outcome grid whose bucket indices fit uint16.
 func TestKernelLayout(t *testing.T) {
-	if s := unsafe.Sizeof(event{}); s != 16 {
-		t.Errorf("event is %d bytes, want 16", s)
+	if s := unsafe.Sizeof(finishKey{}); s != 16 {
+		t.Errorf("finishKey is %d bytes, want 16", s)
 	}
 	if s := unsafe.Sizeof(trialSlot{}); s != 32 {
 		t.Errorf("trialSlot is %d bytes, want 32", s)
@@ -115,8 +117,8 @@ func TestKernelLayout(t *testing.T) {
 }
 
 // TestFastTrialSlotsMatchHeapSlots: the slot a worker copies for a
-// fast-path trial must equal the slot built from a heap run of the
-// same trial, bucket indices included.
+// fast-path trial must equal the slot built from a full-kernel run of
+// the same trial, bucket indices included.
 func TestFastTrialSlotsMatchHeapSlots(t *testing.T) {
 	in, res := fastEqInstance(t, workload.ClassForkJoin, 4)
 	fast, err := NewRunner(in, res.Schedule, Options{Seed: 8})
@@ -130,7 +132,7 @@ func TestFastTrialSlotsMatchHeapSlots(t *testing.T) {
 	var tr Trace
 	served := 0
 	for trial := 0; trial < 300; trial++ {
-		if !fast.fastTrial(trial) {
+		if !fast.fastTrial(&fast.scr[0], trial) {
 			continue
 		}
 		served++
@@ -141,5 +143,71 @@ func TestFastTrialSlotsMatchHeapSlots(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("no trial took the fast path")
+	}
+}
+
+// lineSpan is the first and last 64-byte line a slice's backing array
+// covers, up to its capacity: all of it may be written.
+func lineSpan[T any](s []T) [2]uintptr {
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	end := start + uintptr(cap(s))*unsafe.Sizeof(s[:1][0]) - 1
+	return [2]uintptr{start / cacheLine, end / cacheLine}
+}
+
+// TestWorkerScratchIsolated: for 1 to 8 workers on n = 4, 32 and 64
+// tasks, no two workers' trial scratch — draws, release instants,
+// finish keys and the fast-path counter — touches the same 64-byte
+// line, and a trial writes no field of the Runner the workers share.
+func TestWorkerScratchIsolated(t *testing.T) {
+	for _, n := range []int{4, 32, 64} {
+		in := triChain(t, n, 0.01)
+		res := solve(t, in)
+		for workers := 1; workers <= 8; workers++ {
+			r, err := NewRunner(in, res.Schedule, Options{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.campaignScratchFor(workers, claimSize*workers)
+			owner := map[uintptr]int{}
+			claim := func(w int, span [2]uintptr) {
+				for l := span[0]; l <= span[1]; l++ {
+					if o, ok := owner[l]; ok && o != w {
+						t.Fatalf("n=%d workers=%d: workers %d and %d write line %#x", n, workers, o, w, l*cacheLine)
+					}
+					owner[l] = w
+				}
+			}
+			for w := 0; w < workers; w++ {
+				s := &r.scr[w]
+				claim(w, lineSpan(s.x))
+				claim(w, lineSpan(s.rel))
+				claim(w, lineSpan(s.keys))
+				claim(w, lineSpan(s.served))
+			}
+
+			before := *r
+			snap := unsafe.Slice((*byte)(unsafe.Pointer(r)), unsafe.Sizeof(*r))
+			want := append([]byte(nil), snap...)
+			thr := append([]uint64(nil), r.thr...)
+			faulty := 0
+			for w := 0; w < workers; w++ {
+				s := &r.scr[w]
+				for trial := 0; trial < 50; trial++ {
+					if r.fastTrial(s, trial) {
+						continue
+					}
+					r.draw(s, trial)
+					if r.runFlat(s, nil).Faults > 0 {
+						faulty++
+					}
+				}
+			}
+			if faulty == 0 {
+				t.Fatalf("n=%d: no trial faulted", n)
+			}
+			if string(snap) != string(want) || !slices.Equal(thr, r.thr) || r.ff != before.ff {
+				t.Fatalf("n=%d workers=%d: a trial wrote the shared Runner", n, workers)
+			}
+		}
 	}
 }

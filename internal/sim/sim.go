@@ -11,12 +11,17 @@
 // must match the closed-form reliability and whose fault-free
 // replays must reproduce the solver's own numbers exactly.
 //
-// The engine is a classic event-queue simulation: a binary heap of
-// (time, task, attempt, kind) events with a total deterministic
-// order; an execution attempt becomes ready when every predecessor in
-// the mapping's constraint graph (DAG precedence ∪ same-processor
-// order) has completed, and starts at the later of that instant and
-// its scheduled start time. Faults are drawn per attempt from
+// An execution attempt becomes ready when every predecessor in the
+// mapping's constraint graph (DAG precedence ∪ same-processor order)
+// has completed, and starts at the later of that instant and its
+// scheduled start time — so every finish time follows from its
+// predecessors' finish times alone, and the engine runs a trial as
+// one pass over a precomputed topological order of that graph (see
+// Runner.runFlat), not as an event queue. It still reports what a
+// queue with the total deterministic order (time, task, attempt,
+// kind) would: energies are summed in finish-key order, and recorded
+// traces list their start/fault/finish events in the queue's pop
+// order. Faults are drawn per attempt from
 // counter-split splitmix64 streams (internal/rng), one stream per
 // (seed, trial) pair, so campaigns are reproducible and
 // embarrassingly parallel. Recovery after a failed first attempt is
@@ -26,20 +31,22 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"unsafe"
 
 	"energysched/internal/core"
-	"energysched/internal/dag"
 	"energysched/internal/model"
 	"energysched/internal/rng"
 	"energysched/internal/schedule"
 )
 
 // NoFastPathEnv is the environment variable that forces every trial
-// through the event heap, process-wide — the escape hatch the
+// through the full trial kernel, process-wide — the escape hatch the
 // equivalence tests and forensic reruns use to compare the fast path
 // against ground truth. Any non-empty value disables the fast path
 // for Runners created after the variable is set.
@@ -181,7 +188,7 @@ type Options struct {
 	DisableFaults bool
 	// Record fills Trace.Events with the time-ordered event log.
 	Record bool
-	// DisableFastPath forces every trial through the event heap even
+	// DisableFastPath forces every trial through the full kernel even
 	// when the occurrence draws admit the precomputed fault-free
 	// outcome. The fast path is bit-identical by construction (and
 	// equivalence-tested); this switch exists for benchmarks comparing
@@ -219,49 +226,34 @@ func occurrenceThreshold(p float64) uint64 {
 	}
 }
 
-// event is a heap entry. Kind breaks exact time ties after task and
-// attempt, giving the queue a total deterministic order; the fields
-// pack into 16 bytes.
-type event struct {
-	time    float64
-	task    int32
-	attempt int8
-	kind    uint8 // an EventKind
-	failed  bool
-}
-
-func eventLess(a, b event) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.task != b.task {
-		return a.task < b.task
-	}
-	if a.attempt != b.attempt {
-		return a.attempt < b.attempt
-	}
-	return a.kind < b.kind
-}
-
 // Runner is a prepared simulation: instance and schedule cross-checked
-// once, constraint graph built once, per-attempt durations, energies,
-// occurrence thresholds — and the fault-free outcome — precomputed
-// once. Run then executes individual trials allocation-free, so
-// campaigns amortize all setup, and trials whose occurrence draws
-// admit no fault short-circuit to the precomputed outcome without
-// touching the event heap. A Runner is not safe for concurrent use;
-// campaigns give each worker its own Clone.
+// once, constraint graph built and ordered once, per-attempt durations,
+// energies, occurrence thresholds — and the fault-free outcome —
+// precomputed once. Run then executes individual trials
+// allocation-free, so campaigns amortize all setup, and trials whose
+// occurrence draws admit no fault short-circuit to the precomputed
+// outcome without running the kernel. A trial writes only its own
+// trialScratch block, never a Runner field, so campaign workers share
+// one Runner; a Runner is still not safe for concurrent use (Run and
+// campaigns share its scratch).
 type Runner struct {
 	in   *core.Instance
 	s    *schedule.Schedule
 	rel  *model.Reliability
 	opts Options
 
-	cg     *dag.Graph
-	indeg0 []int32 // constraint-graph indegree template
+	// steps lists the tasks in a topological order of the constraint
+	// graph (DAG precedence ∪ same-processor order), the order the
+	// kernel settles them in; preds holds their constraint-graph
+	// predecessors, those of steps[k] at preds[steps[k].lo:steps[k].hi].
+	steps  []step
+	preds  []int32
 	first  []attempt
 	second []attempt // dur == 0 → no second attempt possible
 	hasSec []bool
+	// energy[2i+k] is the energy of attempt k of task i, indexed like
+	// the finish keys the energy sum visits.
+	energy []float64
 	// thr holds the occurrence thresholds of the first attempts, then
 	// of the second attempts (occurrenceThreshold of each p; all zero
 	// when faults are not injected, and zero for absent second
@@ -273,26 +265,19 @@ type Runner struct {
 	fastThr []uint64
 
 	// ff is the outcome of the deterministic fault-free execution
-	// under the runner's options, precomputed by one event-heap run in
+	// under the runner's options, precomputed by one kernel run in
 	// NewRunner; it is what the fast path emits, and ffSlot is its
 	// campaign slot.
 	ff     Outcome
 	ffSlot trialSlot
-	// noFast forces the event heap for every trial (Options or env).
+	// noFast forces the kernel for every trial (Options or env).
 	noFast bool
-	// fastServed counts trials this runner answered from the fast path
-	// since the campaign last reset it — each worker counts its own,
-	// the campaign sums them into its profile.
-	fastServed int64
 
-	// per-trial scratch
-	indeg []int32
-	done  []bool   // task completed all its attempts successfully
-	x     []uint64 // the trial's raw draws, laid out like thr
-	heap  []event
-
-	// camp is the reusable campaign state (worker runners, trial
-	// slots, outcome histograms), built lazily by the first campaign.
+	// scr holds one trial scratch block per campaign worker; Run uses
+	// scr[0]. Campaigns grow it to their worker count.
+	scr []trialScratch
+	// camp is the reusable campaign state (trial slots, outcome
+	// histograms, worker pool), built lazily by the first campaign.
 	camp *campaignScratch
 }
 
@@ -319,7 +304,8 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cg.TopoOrder(); err != nil {
+	order, err := cg.TopoOrder()
+	if err != nil {
 		return nil, err
 	}
 	r := &Runner{
@@ -327,21 +313,12 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 		s:      s,
 		rel:    in.Rel,
 		opts:   opts,
-		cg:     cg,
-		indeg0: make([]int32, n),
 		first:  make([]attempt, n),
 		second: make([]attempt, n),
 		hasSec: make([]bool, n),
+		energy: make([]float64, 2*n),
 		thr:    make([]uint64, 2*n),
-		indeg:  make([]int32, n),
-		done:   make([]bool, n),
-		x:      make([]uint64, 2*n),
-		heap:   make([]event, 0, 4*n),
-	}
-	for i := 0; i < n; i++ {
-		for range cg.Preds(i) {
-			r.indeg0[i]++
-		}
+		scr:    newTrialScratch(1, n),
 	}
 	for i := 0; i < n; i++ {
 		ts := s.Tasks[i]
@@ -376,19 +353,29 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 			r.second[i] = a
 			r.hasSec[i] = true
 		}
+		r.energy[2*i] = r.first[i].energy
+		r.energy[2*i+1] = r.second[i].energy
+	}
+	m := 0
+	for i := 0; i < n; i++ {
+		m += len(cg.Preds(i))
+	}
+	r.steps, r.preds = make([]step, n), make([]int32, 0, m)
+	for k, i := range order {
+		a, b := &r.first[i], &r.second[i]
+		r.steps[k] = step{start0: a.start, dur0: a.dur, start1: b.start, dur1: b.dur,
+			task: int32(i), sec: r.hasSec[i], lo: int32(len(r.preds))}
+		for _, p := range cg.Preds(i) {
+			r.preds = append(r.preds, int32(p))
+		}
+		r.steps[k].hi = int32(len(r.preds))
 	}
 	r.noFast = opts.DisableFastPath || os.Getenv(NoFastPathEnv) != ""
-	// Precompute the fault-free outcome by one event-heap run while the
-	// thresholds are still zero: the fault-free trace is fully
-	// deterministic (no stream is consumed), so this single run is the
-	// exact outcome of every trial whose occurrence draws admit no
-	// fault.
-	record := r.opts.Record
-	r.opts.Record = false
-	var ff Trace
-	r.runHeap(&ff)
-	r.opts.Record = record
-	r.ff = ff.Outcome
+	// Precompute the fault-free outcome by one kernel run while the
+	// thresholds are still zero: no draw can fault, so this single run
+	// is the exact outcome of every trial whose occurrence draws admit
+	// no fault.
+	r.ff = r.runFlat(&r.scr[0], nil)
 	r.ffSlot = newTrialSlot(&r.ff)
 	if in.Rel != nil && !opts.DisableFaults {
 		for i := 0; i < n; i++ {
@@ -405,26 +392,6 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 	return r, nil
 }
 
-// Clone returns a Runner that shares every immutable trial-invariant
-// table with r — instance, schedule, constraint graph, per-attempt
-// tables, precomputed fault-free outcome — and owns fresh per-trial
-// scratch. Cloning costs four O(n) slice allocations instead of the
-// constraint-graph reconstruction and validation NewRunner pays,
-// which is what makes campaign worker pools cheap. The clone starts
-// from the same Options; like its source, it is not safe for
-// concurrent use, but distinct clones may run concurrently.
-func (r *Runner) Clone() *Runner {
-	c := new(Runner)
-	*c = *r
-	n := len(r.first)
-	c.indeg = make([]int32, n)
-	c.done = make([]bool, n)
-	c.x = make([]uint64, 2*n)
-	c.heap = make([]event, 0, cap(r.heap))
-	c.camp = nil
-	return c
-}
-
 func makeAttempt(ex schedule.Execution, rel *model.Reliability) attempt {
 	a := attempt{start: ex.Start, dur: ex.Duration(), energy: ex.Energy(), segs: ex.Segments}
 	if len(ex.Segments) > 0 {
@@ -436,9 +403,82 @@ func makeAttempt(ex schedule.Execution, rel *model.Reliability) attempt {
 	return a
 }
 
+// step is one task of the kernel's pass, with what the pass reads
+// about it packed together.
+type step struct {
+	start0, dur0 float64 // first attempt: scheduled start and duration
+	start1, dur1 float64 // second attempt; start1 < 0 runs it right after the failure
+	task         int32
+	lo, hi       int32 // constraint-graph predecessors: preds[lo:hi]
+	sec          bool  // a second attempt exists
+}
+
+// trialScratch is the mutable state of one trial in flight — all a
+// trial writes. newTrialScratch lays each block out so that no two
+// blocks, and nothing else, write bytes in the same 64-byte cache
+// line: campaign workers running side by side never contend for one.
+// The struct itself holds only slice headers, fixed at construction.
+type trialScratch struct {
+	x    []uint64    // the trial's raw draws, laid out like thr
+	rel  []float64   // per task: the instant it released its successors (+Inf: never)
+	keys []finishKey // executed attempts' finish keys, kept sorted
+	// served[0] counts trials the fast path answered since the campaign
+	// last reset it; the campaign sums the blocks into its profile. It
+	// is the word after x in the same block.
+	served []uint64
+}
+
+// finishKey places an executed attempt in the order the trial sums
+// energies: by finish time, then task, then attempt. id is
+// 2·task + attempt, so (t, id) orders as (time, task, attempt).
+type finishKey struct {
+	t  float64
+	id int32
+}
+
+// cacheLine is the granule newTrialScratch isolates blocks at.
+const cacheLine = 64
+
+// lineSlab allocates k blocks of n elements of T in one slab, each
+// block rounded up to whole 64-byte lines and preceded and followed by
+// a full line of padding, so bytes written through one block never
+// share a line with another block or with any other allocation —
+// whatever the slab's own alignment. lineBlock returns block w.
+func lineSlab[T any](k, n int) []T {
+	return make([]T, lineStride[T](0)+k*lineStride[T](n))
+}
+
+func lineBlock[T any](slab []T, w, n int) []T {
+	lo := lineStride[T](0) + w*lineStride[T](n)
+	return slab[lo : lo+n : lo+n]
+}
+
+// lineStride is the slab stride of an n-element block: n rounded up
+// to whole lines, plus one line of padding.
+func lineStride[T any](n int) int {
+	var zero T
+	per := cacheLine / int(unsafe.Sizeof(zero))
+	return (n+per-1)/per*per + per
+}
+
+// newTrialScratch returns k scratch blocks for n-task trials.
+func newTrialScratch(k, n int) []trialScratch {
+	xs, rels, keys := lineSlab[uint64](k, 2*n+1), lineSlab[float64](k, n), lineSlab[finishKey](k, 2*n)
+	scr := make([]trialScratch, k)
+	for w := range scr {
+		x := lineBlock(xs, w, 2*n+1)
+		scr[w] = trialScratch{
+			x:      x[: 2*n : 2*n],
+			rel:    lineBlock(rels, w, n),
+			keys:   lineBlock(keys, w, 2*n),
+			served: x[2*n:],
+		}
+	}
+	return scr
+}
+
 // Run executes one trial and fills tr (reusing its Events buffer).
-// With a warmed Runner and Trace the call performs no steady-state
-// allocations beyond heap growth on first use.
+// An unrecorded call performs no allocations.
 //
 // Fast path: the per-attempt fault *occurrence* decision factors out
 // of the fault *location* computation (the same draw both decides the
@@ -446,27 +486,38 @@ func makeAttempt(ex schedule.Execution, rel *model.Reliability) attempt {
 // instant — see faultOffset), so a trial can be classified by drawing
 // only the occurrence draws. fastTrial compares each raw draw against
 // its attempt's integer threshold as it is drawn, in the same task
-// order the event-heap path uses, and stores nothing; when none admits
-// a fault the trial is the deterministic fault-free execution and Run
-// emits the precomputed Outcome without touching the heap. Each trial
-// owns its counter-split stream rng.At(Seed, trial), so stopping early
-// is unobservable — no later consumer shares the stream — and a faulty
-// trial simply restarts the stream to fill its draws for the heap. The
-// emitted outcome is bit-identical to the event-heap run (equivalence-
+// order the kernel uses, and stores nothing; when none admits a fault
+// the trial is the deterministic fault-free execution and Run emits
+// the precomputed Outcome without running the kernel. Each trial owns
+// its counter-split stream rng.At(Seed, trial), so stopping early is
+// unobservable — no later consumer shares the stream — and a faulty
+// trial simply restarts the stream to fill its draws for the kernel.
+// The emitted outcome is bit-identical to the kernel's (equivalence-
 // and golden-tested across seeds, policies and workload classes).
 func (r *Runner) Run(trial int, tr *Trace) {
-	if r.fastTrial(trial) {
-		tr.Events = tr.Events[:0]
+	s := &r.scr[0]
+	tr.Events = tr.Events[:0]
+	if r.fastTrial(s, trial) {
 		tr.Outcome = r.ff
 		return
 	}
-	r.heapTrial(trial, tr)
+	r.draw(s, trial)
+	if !r.opts.Record {
+		tr.Outcome = r.runFlat(s, nil)
+		return
+	}
+	log := make([]logEntry, 0, 6*len(r.first))
+	tr.Outcome = r.runFlat(s, &log)
+	slices.SortFunc(log, compareLog)
+	for _, e := range log {
+		tr.Events = append(tr.Events, e.ev)
+	}
 }
 
 // fastTrial reports whether the fast path serves trial: it must be
 // enabled, and no occurrence draw in fastThr may admit a fault. A
-// served trial is counted in fastServed.
-func (r *Runner) fastTrial(trial int) bool {
+// served trial is counted in s.served.
+func (r *Runner) fastTrial(s *trialScratch, trial int) bool {
 	if r.noFast || r.opts.Record {
 		return false
 	}
@@ -476,158 +527,192 @@ func (r *Runner) fastTrial(trial int) bool {
 			return false
 		}
 	}
-	r.fastServed++
+	s.served[0]++
 	return true
 }
 
-// heapTrial runs trial on the event heap. The draws are made up front
-// in task order — two per task, used or not — so the outcome depends
-// only on (seed, trial), never on event interleaving. Without fault
+// draw fills s.x with trial's draws, made up front in task order — two
+// per task, used or not — so the outcome depends only on (seed, trial),
+// never on the order the kernel settles tasks in. Without fault
 // injection every threshold is zero and the draws decide nothing.
-func (r *Runner) heapTrial(trial int, tr *Trace) {
+func (r *Runner) draw(s *trialScratch, trial int) {
 	stream := rng.At(r.opts.Seed, trial)
-	for i := range r.x {
-		r.x[i] = stream.Uint64()
+	for i := range s.x {
+		s.x[i] = stream.Uint64()
 	}
-	r.runHeap(tr)
 }
 
-// runHeap is the event-heap execution of one trial; the draws x must
-// already be filled for this trial. An unrecorded run enqueues each
-// attempt as its Finish event, with the failure already decided from
-// its draw (see enqueue); a recorded run enqueues a Start event that
-// decides the failure, logs the fault instant and then enqueues the
-// Finish. Either way the Finish events pop in the same key order, so
-// energies, releases and outcomes agree.
-func (r *Runner) runHeap(tr *Trace) {
-	n := len(r.first)
-	opts := r.opts
-	copy(r.indeg, r.indeg0)
-	for i := range r.done {
-		r.done[i] = false
-	}
-	tr.Events = tr.Events[:0]
+// runFlat is the trial kernel: one pass over the constraint graph in
+// topological order, its draws already in s.x. Each task starts its
+// first attempt at the later of its scheduled start and the instant
+// its last constraint-graph predecessor released it; a failed first
+// attempt — or any first attempt, in worst-case replay — is followed
+// by the second at the later of the failure and the second's scheduled
+// start. A task releases its successors when its last attempt ends;
+// in live execution a task whose attempts all failed never does
+// (release instant +Inf), which prunes everything downstream, while
+// worst-case replay releases regardless and only the success statistic
+// records the failure.
+//
+// The energy is summed over the executed attempts in finish-key order
+// (time, task, attempt): each key is insertion-sorted into s.keys as
+// the attempt settles. That is the order an event queue popping those
+// finishes would visit them in, because every attempt ends strictly
+// after the instant that made it ready. A non-nil log receives the
+// recorded events (see logEntry).
+func (r *Runner) runFlat(s *trialScratch, log *[]logEntry) Outcome {
+	n := len(r.steps)
+	wc := r.opts.WorstCase
+	x, thr, rel := s.x, r.thr, s.rel
 	out := Outcome{Succeeded: true}
-	r.heap = r.heap[:0]
-	for i := 0; i < n; i++ {
-		if r.indeg0[i] == 0 {
-			r.enqueue(i, 0, r.first[i].start)
+	keys := s.keys[:0]
+	for k := range r.steps {
+		st := &r.steps[k]
+		i := int(st.task)
+		start := st.start0
+		for _, p := range r.preds[st.lo:st.hi] {
+			if t := rel[p]; t > start {
+				start = t
+			}
 		}
-	}
-	for len(r.heap) > 0 {
-		ev := r.pop()
-		i := int(ev.task)
-		att := &r.first[i]
-		if ev.attempt == 1 {
-			att = &r.second[i]
+		if start == inf {
+			rel[i] = inf
+			continue
 		}
-		switch EventKind(ev.kind) {
-		case EventStart:
-			k := int(ev.attempt)*n + i
-			failed := r.x[k]>>11 < r.thr[k]
+		if log != nil {
+			r.logAttempt(s, log, st, 0, start)
+		}
+		end := start + st.dur0
+		failed := x[i]>>11 < thr[i]
+		keys = insertKey(keys, finishKey{t: end, id: int32(2 * i)})
+		if end > out.Makespan {
+			out.Makespan = end
+		}
+		ok := !failed
+		if failed {
+			out.Faults++
+		}
+		if st.sec && (wc || failed) {
+			start = end
+			if st.start1 >= 0 && st.start1 > start {
+				start = st.start1
+			}
+			out.Reexecutions++
+			if log != nil {
+				r.logAttempt(s, log, st, 1, start)
+			}
+			end = start + st.dur1
+			failed = x[n+i]>>11 < thr[n+i]
+			keys = insertKey(keys, finishKey{t: end, id: int32(2*i + 1)})
+			if end > out.Makespan {
+				out.Makespan = end
+			}
 			if failed {
-				u := float64(r.x[k]>>11) / (1 << 53)
-				r.push(event{time: ev.time + faultOffset(att, u, *r.rel), task: ev.task, attempt: ev.attempt, kind: uint8(EventFault)})
-			}
-			tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventStart.String(),
-				Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed})
-			r.push(event{time: ev.time + att.dur, task: ev.task, attempt: ev.attempt, kind: uint8(EventFinish), failed: failed})
-		case EventFault:
-			tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventFault.String(),
-				Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed})
-		case EventFinish:
-			out.Energy += att.energy
-			if ev.time > out.Makespan {
-				out.Makespan = ev.time
-			}
-			if ev.failed {
 				out.Faults++
-			}
-			if opts.Record {
-				tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventFinish.String(),
-					Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed, Failed: ev.failed})
-			}
-			switch {
-			case ev.attempt == 0 && opts.WorstCase && r.hasSec[i]:
-				// Worst-case replay: the provisioned re-execution always
-				// runs; the task fails only if both attempts do.
-				if !ev.failed {
-					r.done[i] = true // success already banked
-				}
-				r.startAttempt(i, 1, ev.time, &out)
-			case ev.attempt == 0 && ev.failed && !opts.WorstCase && r.hasSec[i]:
-				out.Reexecutions++
-				r.startAttempt(i, 1, ev.time, &out)
-			case ev.failed && !r.done[i]:
-				// Final attempt failed (or abort policy): the task — and
-				// with it the run — fails. Live execution prunes the
-				// failed task's successors; worst-case replay keeps
-				// executing the full schedule and only the success
-				// statistic records the failure.
-				out.Succeeded = false
-				if opts.WorstCase {
-					r.release(i, ev.time)
-				}
-			default:
-				r.done[i] = true
-				r.release(i, ev.time)
+			} else {
+				ok = true
 			}
 		}
+		if !ok {
+			out.Succeeded = false
+			if !wc {
+				end = inf
+			}
+		}
+		rel[i] = end
+	}
+	for _, k := range keys {
+		out.Energy += r.energy[k.id]
 	}
 	d := r.in.Deadline
 	out.DeadlineMet = out.Succeeded && out.Makespan <= d+schedule.TimeEps*math.Max(1, d)
-	tr.Outcome = out
+	return out
 }
 
-// enqueue makes attempt k of task i ready to start at time t. A
-// recorded run pushes its Start event; an unrecorded run skips the
-// Start round trip and pushes the Finish event directly, its failure
-// decided from the trial's draw. The Finish key (start+dur, task,
-// attempt) is the same either way, and every event popped before a
-// Start has a smaller key than that Start's Finish, so the Finish
-// events pop in the same order in both modes.
-func (r *Runner) enqueue(i, k int, t float64) {
-	if r.opts.Record {
-		r.push(event{time: t, task: int32(i), attempt: int8(k), kind: uint8(EventStart)})
-		return
+var inf = math.Inf(1)
+
+// insertKey adds k to the sorted keys, which have room for it.
+func insertKey(keys []finishKey, k finishKey) []finishKey {
+	keys = append(keys, k)
+	m := len(keys) - 1
+	for ; m > 0 && (k.t < keys[m-1].t || k.t == keys[m-1].t && k.id < keys[m-1].id); m-- {
+		keys[m] = keys[m-1]
 	}
+	keys[m] = k
+	return keys
+}
+
+// logEntry is one recorded event and its place in the log. The log
+// keeps the order of an event queue keyed (time, task, attempt, kind)
+// in which each attempt's Start is queued when the attempt becomes
+// ready and its Fault and Finish when it starts: key order, except
+// that a Start queued at the instant of the Finish that released it
+// pops right after that Finish even when its own key sorts below it,
+// and so does a Fault it logs at that same instant. own is the
+// event's key rank (2·task+attempt)·3+kind; at is 2·own, or 2·(the
+// releasing Finish's rank)+1 for such a raised event, so ordering by
+// (time, at, own) reproduces the queue.
+type logEntry struct {
+	ev      Event
+	at, own uint64
+}
+
+func compareLog(a, b logEntry) int {
+	if c := cmp.Compare(a.ev.Time, b.ev.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.own, b.own)
+}
+
+// logAttempt records the Start, the Fault if one strikes, and the
+// Finish of attempt k of st's task, which starts at start.
+func (r *Runner) logAttempt(s *trialScratch, log *[]logEntry, st *step, k int, start float64) {
+	n, i := len(r.first), int(st.task)
 	att := &r.first[i]
 	if k == 1 {
 		att = &r.second[i]
 	}
-	j := k*len(r.first) + i
-	r.push(event{time: t + att.dur, task: int32(i), attempt: int8(k), kind: uint8(EventFinish), failed: r.x[j]>>11 < r.thr[j]})
-}
-
-// startAttempt enqueues the start of attempt k of task i after the
-// previous attempt finished at time now. In worst-case replay the
-// success bookkeeping of attempt 1 is resolved at its finish via done.
-func (r *Runner) startAttempt(i, k int, now float64, out *Outcome) {
-	att := &r.second[i]
-	start := now
-	if att.start >= 0 && att.start > start {
-		start = att.start
-	}
-	if r.opts.WorstCase {
-		out.Reexecutions++
-	}
-	r.enqueue(i, k, start)
-}
-
-// release marks task i complete at time now and makes its
-// constraint-graph successors ready; a successor with all predecessors
-// done starts at the later of now and its scheduled start.
-func (r *Runner) release(i int, now float64) {
-	for _, v := range r.cg.Succs(i) {
-		r.indeg[v]--
-		if r.indeg[v] == 0 {
-			start := r.first[v].start
-			if now > start {
-				start = now
+	own := uint64(2*i+k) * 3
+	// The releasing Finish of a first attempt is the latest-keyed
+	// release among its predecessors; a Start at that very instant
+	// with a lower task index is raised behind it.
+	raise := uint64(0)
+	if k == 0 {
+		relT, rel := math.Inf(-1), -1
+		for _, p32 := range r.preds[st.lo:st.hi] {
+			p := int(p32)
+			id := 2 * p
+			if r.hasSec[p] && (r.opts.WorstCase || s.x[p]>>11 < r.thr[p]) {
+				id++
 			}
-			r.enqueue(v, 0, start)
+			if t := s.rel[p]; t > relT || t == relT && id > rel {
+				relT, rel = t, id
+			}
+		}
+		if relT == start && i < rel/2 {
+			raise = 2*(uint64(rel)*3+2) + 1
 		}
 	}
+	at := func(own uint64, t float64) uint64 {
+		if raise != 0 && t == start {
+			return raise
+		}
+		return 2 * own
+	}
+	ev := Event{Time: start, Kind: EventStart.String(), Task: i, Attempt: k, Proc: r.s.Mapping.Proc[i], Speed: att.speed}
+	*log = append(*log, logEntry{ev: ev, at: at(own, start), own: own})
+	j := k*n + i
+	failed := s.x[j]>>11 < r.thr[j]
+	if failed {
+		u := float64(s.x[j]>>11) / (1 << 53)
+		ev.Time, ev.Kind = start+faultOffset(att, u, *r.rel), EventFault.String()
+		*log = append(*log, logEntry{ev: ev, at: at(own+1, ev.Time), own: own + 1})
+	}
+	ev.Time, ev.Kind, ev.Failed = start+att.dur, EventFinish.String(), failed
+	*log = append(*log, logEntry{ev: ev, at: 2 * (own + 2), own: own + 2})
 }
 
 // faultOffset locates the fault instant within the attempt for the
@@ -651,43 +736,6 @@ func faultOffset(att *attempt, u float64, rel model.Reliability) float64 {
 		t += seg.Duration
 	}
 	return att.dur
-}
-
-func (r *Runner) push(ev event) {
-	r.heap = append(r.heap, ev)
-	i := len(r.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(r.heap[i], r.heap[parent]) {
-			break
-		}
-		r.heap[i], r.heap[parent] = r.heap[parent], r.heap[i]
-		i = parent
-	}
-}
-
-func (r *Runner) pop() event {
-	top := r.heap[0]
-	last := len(r.heap) - 1
-	r.heap[0] = r.heap[last]
-	r.heap = r.heap[:last]
-	i := 0
-	for {
-		l, rr := 2*i+1, 2*i+2
-		small := i
-		if l < last && eventLess(r.heap[l], r.heap[small]) {
-			small = l
-		}
-		if rr < last && eventLess(r.heap[rr], r.heap[small]) {
-			small = rr
-		}
-		if small == i {
-			break
-		}
-		r.heap[i], r.heap[small] = r.heap[small], r.heap[i]
-		i = small
-	}
-	return top
 }
 
 // Prediction is what the schedule promises before any trial runs; the

@@ -479,7 +479,7 @@ func TestRunAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tr Trace
-	r.Run(0, &tr) // warm the event heap
+	r.Run(0, &tr) // warm the trace
 	trial := 1
 	if allocs := testing.AllocsPerRun(100, func() {
 		r.Run(trial, &tr)
