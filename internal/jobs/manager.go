@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -76,6 +77,10 @@ type Job struct {
 	errStatus   int
 	lastPersist int // nextChunk at the last checkpoint write
 	z           float64
+	// onDisk marks a done job whose result lives only in its persisted
+	// final checkpoint: a finished job keeps only its status in memory,
+	// so the daemon's footprint does not grow with the jobs it has run.
+	onDisk bool
 }
 
 // View is a read-only snapshot of a job for the HTTP layer.
@@ -230,8 +235,8 @@ func (m *Manager) Resume() (int, error) {
 				j.errMsg = cp.Error
 				j.errStatus = cp.ErrorStatus
 			}
-			j.result = cp.Result
 			j.trialsRun = cp.Knobs.Trials // unknown if stopped early; View prefers Result
+			shedLocked(j)
 			close(j.done)
 			continue
 		}
@@ -359,30 +364,34 @@ func (m *Manager) progressFor(j *Job) Progress {
 	}
 }
 
-// persistLocked writes the job's current checkpoint atomically; a
-// write failure is counted, not fatal (the job still completes in
-// memory; it just loses restart coverage back to its previous file).
-func (m *Manager) persistLocked(j *Job) {
+// persistLocked writes the job's current checkpoint atomically and
+// reports whether it did; a write failure is counted, not fatal (the
+// job still completes in memory; it just loses restart coverage back
+// to its previous file).
+func (m *Manager) persistLocked(j *Job) bool {
 	if m.cfg.Dir == "" {
-		return
+		return false
 	}
 	data, err := j.cp.Marshal()
 	if err != nil {
 		m.persistErrs++
-		return
+		return false
 	}
 	if err := WriteAtomic(j.cp.Path(m.cfg.Dir), data); err != nil {
 		m.persistErrs++
-		return
+		return false
 	}
 	m.checkpoints++
 	j.lastPersist = j.cp.NextChunk
+	return true
 }
 
 // finishPersistLocked stamps the terminal error fields (if any) into
 // the checkpoint and persists it. The intermediate solved-result cache
 // is dropped either way: a done checkpoint embeds it in Result, a
-// failed one has no further use for it.
+// failed one has no further use for it. Once the final checkpoint is
+// on disk the job sheds its request and result from memory; if the
+// write failed they stay, and the job is served from memory.
 func (m *Manager) finishPersistLocked(j *Job) {
 	j.cp.Done = true
 	j.cp.Solved = nil
@@ -392,7 +401,20 @@ func (m *Manager) finishPersistLocked(j *Job) {
 		j.cp.Result = nil
 		j.cp.State = nil
 	}
-	m.persistLocked(j)
+	if m.persistLocked(j) {
+		shedLocked(j)
+	}
+}
+
+// shedLocked drops a finished job's request body and result document,
+// which its persisted final checkpoint holds: a done job's result is
+// read back from that file by Get. Nothing persists a finished job's
+// checkpoint again, so the trimmed record is never written.
+func shedLocked(j *Job) {
+	j.cp.Request = nil
+	j.cp.Result = nil
+	j.result = nil
+	j.onDisk = j.errMsg == ""
 }
 
 func (m *Manager) removeFileLocked(j *Job) {
@@ -402,15 +424,54 @@ func (m *Manager) removeFileLocked(j *Job) {
 	os.Remove(j.cp.Path(m.cfg.Dir))
 }
 
-// Get returns a snapshot of the job, if known.
+// Get returns a snapshot of the job, if known. A done job's result is
+// read from its final checkpoint, outside the manager's lock; if that
+// file no longer reads or parses, the snapshot reports a 500 failure
+// and the file counts as corrupt.
 func (m *Manager) Get(id string) (View, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
+		m.mu.Unlock()
 		return View{}, false
 	}
-	return m.viewLocked(j), true
+	v := m.viewLocked(j)
+	if !j.onDisk {
+		m.mu.Unlock()
+		return v, true
+	}
+	path := j.cp.Path(m.cfg.Dir)
+	m.mu.Unlock()
+	res, err := readResult(path, id)
+	if err == nil {
+		v.Result = res
+		return v, true
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.jobs[id] != j {
+		return View{}, false // cancelled while the file was read
+	}
+	m.corrupt++
+	v.Status, v.Error, v.ErrorStatus = StatusFailed, "reading job result: "+err.Error(), 500
+	return v, true
+}
+
+// readResult returns the result document of job id's final checkpoint
+// at path.
+func readResult(path, id string) (json.RawMessage, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := ParseCheckpoint(data)
+	if err != nil {
+		return nil, err
+	}
+	if cp.ID != id || !cp.Done || len(cp.Result) == 0 {
+		return nil, errors.New("jobs: checkpoint holds no result for this job")
+	}
+	return cp.Result, nil
 }
 
 // Cancel stops a running or queued job and forgets it (checkpoint

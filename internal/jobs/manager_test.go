@@ -295,3 +295,80 @@ func TestManagerFailureAndPanic(t *testing.T) {
 		t.Fatalf("resumed failed job: %+v ok=%t", v, ok)
 	}
 }
+
+// TestManagerDoneJobKeepsOnlyStatus: once a done job's final
+// checkpoint is on disk, the manager drops its request body and result
+// from memory and Get reads the result back from the file — also after
+// Resume. A file that no longer parses answers a 500 and counts as
+// corrupt. Without a state directory, or when the final write fails,
+// the result stays in memory.
+func TestManagerDoneJobKeepsOnlyStatus(t *testing.T) {
+	shed := func(t *testing.T, m *Manager, id string) bool {
+		t.Helper()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		j := m.jobs[id]
+		return j.onDisk && j.result == nil && j.cp.Request == nil && j.cp.Result == nil
+	}
+	ref := newTestManager(t, "", fakeExec, 0)
+	cp := testCheckpoint(t)
+	if _, _, err := ref.Submit(cp); err != nil {
+		t.Fatal(err)
+	}
+	want := waitStatus(t, ref, cp.ID, StatusDone).Result
+	if len(want) == 0 || shed(t, ref, cp.ID) {
+		t.Fatal("memory-only manager must keep the result in memory")
+	}
+
+	dir := t.TempDir()
+	m := newTestManager(t, dir, fakeExec, 0)
+	if _, _, err := m.Submit(testCheckpoint(t)); err != nil {
+		t.Fatal(err)
+	}
+	if v := waitStatus(t, m, cp.ID, StatusDone); !bytes.Equal(v.Result, want) {
+		t.Fatalf("result read from the checkpoint: %s, want %s", v.Result, want)
+	}
+	if !shed(t, m, cp.ID) {
+		t.Fatal("done job still holds its request or result in memory")
+	}
+
+	m2 := newTestManager(t, dir, fakeExec, 0)
+	if n, err := m2.Resume(); err != nil || n != 0 {
+		t.Fatalf("resume: n=%d err=%v", n, err)
+	}
+	if !shed(t, m2, cp.ID) {
+		t.Fatal("Resume loaded a done job's request or result into memory")
+	}
+	if v, ok := m2.Get(cp.ID); !ok || v.Status != StatusDone || !bytes.Equal(v.Result, want) {
+		t.Fatalf("resumed done job: %+v ok=%t", v, ok)
+	}
+
+	if err := os.WriteFile(cp.Path(dir), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := m2.Get(cp.ID)
+	if !ok || v.Status != StatusFailed || v.ErrorStatus != 500 || v.Result != nil {
+		t.Fatalf("unreadable result: %+v ok=%t", v, ok)
+	}
+	if st := m2.Stats(); st.Corrupt != 1 || st.Done != 1 {
+		t.Fatalf("stats after an unreadable result: %+v", st)
+	}
+
+	// The final write fails when the state directory is gone: the job
+	// completes and keeps serving its result from memory.
+	gone := t.TempDir()
+	m3 := newTestManager(t, gone, fakeExec, 20*time.Millisecond)
+	if _, _, err := m3.Submit(testCheckpoint(t)); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m3, cp.ID, StatusRunning)
+	if err := os.RemoveAll(gone); err != nil {
+		t.Fatal(err)
+	}
+	if v := waitStatus(t, m3, cp.ID, StatusDone); !bytes.Equal(v.Result, want) {
+		t.Fatalf("result after a failed final write: %s, want %s", v.Result, want)
+	}
+	if shed(t, m3, cp.ID) || m3.Stats().PersistErrs == 0 {
+		t.Fatal("a job whose final write failed dropped its in-memory result")
+	}
+}
