@@ -24,10 +24,18 @@ import (
 const coalesceSolverName = "server-test-coalesce"
 
 var (
-	coalesceCalls   atomic.Int64
-	coalesceStarted = make(chan struct{}, 64)
-	coalesceGate    = make(chan struct{})
+	coalesceCalls atomic.Int64
+	// coalesceRun holds the current test run's channels: each run
+	// installs fresh ones, so the test passes under -count=N.
+	coalesceRun atomic.Pointer[coalesceChans]
 )
+
+// coalesceChans signals the solver's start and holds it until the test
+// closes gate.
+type coalesceChans struct {
+	started chan struct{}
+	gate    chan struct{}
+}
 
 type coalesceSolver struct{}
 
@@ -39,9 +47,10 @@ func (coalesceSolver) Supports(in *core.Instance) bool {
 
 func (coalesceSolver) Solve(ctx context.Context, in *core.Instance, cfg *core.Config) (*core.Result, error) {
 	coalesceCalls.Add(1)
-	coalesceStarted <- struct{}{}
+	run := coalesceRun.Load()
+	run.started <- struct{}{}
 	select {
-	case <-coalesceGate:
+	case <-run.gate:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -131,6 +140,8 @@ func TestStatsKeysGolden(t *testing.T) {
 // saturate the whole in-flight budget with duplicate work.
 func TestSingleflightCoalescesIdenticalSolves(t *testing.T) {
 	coalesceCalls.Store(0)
+	run := &coalesceChans{started: make(chan struct{}, 64), gate: make(chan struct{})}
+	coalesceRun.Store(run)
 	h := server.New(server.Config{MaxInFlight: 4}).Handler()
 	body := `{"instance":` + coalesceInstance() + `,"solver":"` + coalesceSolverName + `"}`
 
@@ -151,9 +162,9 @@ func TestSingleflightCoalescesIdenticalSolves(t *testing.T) {
 	}
 	// The leader is inside the solver once started fires; give the
 	// other seven time to join its flight, then open the gate.
-	<-coalesceStarted
+	<-run.started
 	time.Sleep(250 * time.Millisecond)
-	close(coalesceGate)
+	close(run.gate)
 	wg.Wait()
 
 	if got := coalesceCalls.Load(); got != 1 {
