@@ -65,7 +65,7 @@ func main() {
 	policy := flag.String("policy", router.PolicyAffinity,
 		"routing policy: "+strings.Join(router.Policies(), " | "))
 	probeInterval := flag.Duration("probe-interval", router.DefaultProbeInterval, "health-probe period")
-	probeTimeout := flag.Duration("probe-timeout", router.DefaultProbeTimeout, "per-probe and per-/stats-scrape timeout")
+	probeTimeout := flag.Duration("probe-timeout", router.DefaultProbeTimeout, "timeout of each health probe, /stats scrape and GET /v1/solvers")
 	failAfter := flag.Int("fail-after", router.DefaultFailAfter, "consecutive failed probes before eviction")
 	recoverAfter := flag.Int("recover-after", router.DefaultRecoverAfter, "consecutive successful probes before readmission")
 	retries := flag.Int("retries", router.DefaultRetries, "backend failover attempts per request after transport errors")

@@ -255,13 +255,14 @@ func (c *Client) retryDelay(attempt int, hint time.Duration) time.Duration {
 	return d
 }
 
-// do issues one request with the retry policy: transport failures and
-// 429 sheds are re-issued up to MaxRetries times, sleeping a jittered
-// backoff that honors the (capped) Retry-After hint between shed
-// attempts. Any other status is final on first sight. The returned
+// Do issues one method request to path (e.g. "/v1/solve") with the
+// retry policy: transport failures and 429 sheds are re-issued up to
+// MaxRetries times, sleeping a jittered backoff that honors the
+// (capped) Retry-After hint between shed attempts. Any other status is
+// final on first sight. A non-nil body is sent as JSON. The returned
 // error is a transport failure — HTTP-level failures come back as a
 // Response for the caller to classify.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) (*Response, error) {
+func (c *Client) Do(ctx context.Context, method, path string, body []byte) (*Response, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
@@ -350,22 +351,22 @@ func sleep(ctx context.Context, d time.Duration) error {
 // Post issues a JSON POST to path (e.g. "/v1/solve") under the retry
 // policy.
 func (c *Client) Post(ctx context.Context, path string, body []byte) (*Response, error) {
-	return c.do(ctx, http.MethodPost, path, body)
+	return c.Do(ctx, http.MethodPost, path, body)
 }
 
 // PostKind issues a trace-event request: POST /v1/<kind>.
 func (c *Client) PostKind(ctx context.Context, kind string, body []byte) (*Response, error) {
-	return c.do(ctx, http.MethodPost, "/v1/"+kind, body)
+	return c.Do(ctx, http.MethodPost, "/v1/"+kind, body)
 }
 
 // Get issues a GET to path under the retry policy.
 func (c *Client) Get(ctx context.Context, path string) (*Response, error) {
-	return c.do(ctx, http.MethodGet, path, nil)
+	return c.Do(ctx, http.MethodGet, path, nil)
 }
 
 // Delete issues a DELETE to path under the retry policy.
 func (c *Client) Delete(ctx context.Context, path string) (*Response, error) {
-	return c.do(ctx, http.MethodDelete, path, nil)
+	return c.Do(ctx, http.MethodDelete, path, nil)
 }
 
 // Healthy reports whether GET /healthz answers 200 within ctx.

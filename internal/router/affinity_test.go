@@ -33,12 +33,12 @@ func TestAffinitySameKeySameBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range keySample(500) {
-		first := rt.pick(key, nil)
+		first := rt.pickFrom(rt.pool.Load(), rt.cfg.Policy, key, nil)
 		if first < 0 {
 			t.Fatalf("key %q routed nowhere", key)
 		}
 		for rep := 0; rep < 3; rep++ {
-			if got := rt.pick(key, nil); got != first {
+			if got := rt.pickFrom(rt.pool.Load(), rt.cfg.Policy, key, nil); got != first {
 				t.Fatalf("key %q routed to %d then %d", key, first, got)
 			}
 		}
@@ -59,7 +59,7 @@ func TestAffinityDeterministicAcrossRouters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range keySample(1000) {
-		if ga, gb := a.pick(key, nil), b.pick(key, nil); ga != gb {
+		if ga, gb := a.pickFrom(a.pool.Load(), a.cfg.Policy, key, nil), b.pickFrom(b.pool.Load(), b.cfg.Policy, key, nil); ga != gb {
 			t.Fatalf("routers disagree on %q: %d vs %d", key, ga, gb)
 		}
 	}
@@ -80,7 +80,7 @@ func TestAffinityEvictionRemapsBoundedFraction(t *testing.T) {
 	keys := keySample(4000)
 	before := make([]int, len(keys))
 	for i, key := range keys {
-		before[i] = rt.pick(key, nil)
+		before[i] = rt.pickFrom(rt.pool.Load(), rt.cfg.Policy, key, nil)
 	}
 
 	const evicted = 2
@@ -88,7 +88,7 @@ func TestAffinityEvictionRemapsBoundedFraction(t *testing.T) {
 
 	moved := 0
 	for i, key := range keys {
-		after := rt.pick(key, nil)
+		after := rt.pickFrom(rt.pool.Load(), rt.cfg.Policy, key, nil)
 		if after == evicted {
 			t.Fatalf("key %q routed to the evicted backend", key)
 		}
@@ -109,7 +109,7 @@ func TestAffinityEvictionRemapsBoundedFraction(t *testing.T) {
 
 	rt.pool.Load().members[evicted].healthy.Store(true)
 	for i, key := range keys {
-		if got := rt.pick(key, nil); got != before[i] {
+		if got := rt.pickFrom(rt.pool.Load(), rt.cfg.Policy, key, nil); got != before[i] {
 			t.Fatalf("after readmission key %q routes to %d, originally %d", key, got, before[i])
 		}
 	}
@@ -126,7 +126,7 @@ func TestAffinityBalance(t *testing.T) {
 	counts := make([]int, n)
 	keys := keySample(8000)
 	for _, key := range keys {
-		counts[rt.pick(key, nil)]++
+		counts[rt.pickFrom(rt.pool.Load(), rt.cfg.Policy, key, nil)]++
 	}
 	for i, c := range counts {
 		frac := float64(c) / float64(len(keys))

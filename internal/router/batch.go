@@ -24,6 +24,11 @@ type batchResponse struct {
 	CacheHits int             `json:"cacheHits"`
 }
 
+// batchReq is a POST /v1/batch of body keyed by key.
+func batchReq(key string, body []byte) proxyReq {
+	return proxyReq{method: http.MethodPost, path: "/v1/batch", body: body, key: key, kind: "batch"}
+}
+
 // handleBatch serves POST /v1/batch by scatter/gather: the instance
 // list is split into one sub-batch per policy-picked backend (under
 // affinity each instance goes to the owner of its hash, so sub-batch
@@ -55,12 +60,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(instances) == 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		resp, m, err := rt.forwardChain(ctx, p, "batch", rt.routingKey("batch", body), body, map[int]bool{}, -1, 0)
-		if err != nil {
-			rt.writeForwardError(w, err)
-			return
-		}
-		rt.relay(w, resp, m)
+		rt.forwardRelay(ctx, w, batchReq(rt.routingKey("batch", body), body))
 		return
 	}
 
@@ -71,7 +71,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	keys := make([]string, len(instances))
 	for i, raw := range instances {
 		keys[i] = rt.instanceKey(raw)
-		target := rt.pickFrom(p, keys[i], nil)
+		target := rt.pickFrom(p, rt.cfg.Policy, keys[i], nil)
 		if target < 0 {
 			rt.noBackend.Add(1)
 			rt.writeError(w, http.StatusServiceUnavailable, errNoBackend.Error())
@@ -157,7 +157,7 @@ func (rt *Router) subBatch(ctx context.Context, p *pool, top map[string]json.Raw
 	// Route preferring the scatter target: under affinity that is the
 	// owner of this sub-batch's keys; the chain fails over past it on
 	// any failed attempt.
-	resp, m, err := rt.forwardChain(ctx, p, "batch", key, subBody, map[int]bool{}, target, perAttempt)
+	resp, m, err := rt.forwardChain(ctx, p, batchReq(key, subBody), map[int]bool{}, target, perAttempt)
 	if err != nil {
 		return fill("router: " + err.Error())
 	}

@@ -153,7 +153,7 @@ func TestBreakerNeverSelfInflicts503(t *testing.T) {
 		}
 	}
 	for _, key := range keySample(50) {
-		if got := rt.pick(key, nil); got < 0 {
+		if got := rt.pickFrom(rt.pool.Load(), rt.cfg.Policy, key, nil); got < 0 {
 			t.Fatalf("pick(%q) = %d with all breakers open; fallback must still route", key, got)
 		}
 	}

@@ -18,11 +18,13 @@ import (
 // including bodies cut short mid-stream by lying about Content-Length,
 // the signature of a process dying while writing. Whatever comes back,
 // the router must answer every request without panicking, with a
-// syntactically valid JSON body, and with a real HTTP status; junk is
-// converted to a 502 envelope, never relayed. Every request is sent
-// twice under the same script; the second, an instance-key memo hit
-// whenever the body carries a decodable instance, must get the first's
-// status and body bytes.
+// syntactically valid JSON body (or the empty body of a relayed 204),
+// and with a real HTTP status; junk is converted to a 502 envelope,
+// never relayed. Each input drives a solve, a job poll and a job
+// cancel under the same script, since all three run the same failover
+// chain. Every request is sent twice; the second, an instance-key memo
+// hit whenever the solve body carries a decodable instance, must get
+// the first's status and body bytes.
 func FuzzRouterProxy(f *testing.F) {
 	// The backend handler runs on its own goroutine, so the scripted
 	// response lives behind a mutex. Fuzz workers are separate
@@ -74,27 +76,52 @@ func FuzzRouterProxy(f *testing.F) {
 		status, payload, truncate = st, body, tr
 		mu.Unlock()
 
-		code, data := postRouter(t, front.URL, reqBody)
-		if code < 200 || code > 599 {
-			t.Fatalf("router status %d out of range (backend scripted %d)", code, st)
-		}
-		if !json.Valid(data) {
-			t.Fatalf("router relayed non-JSON (backend scripted status %d, %d bytes, truncate=%v): %q",
-				st, len(body), tr, data)
-		}
-		code2, data2 := postRouter(t, front.URL, reqBody)
-		if code2 != code || !bytes.Equal(data2, data) {
-			t.Fatalf("repeat answered %d %q, first %d %q (backend scripted status %d, truncate=%v)",
-				code2, data2, code, data, st, tr)
+		for _, rq := range []struct {
+			method, path string
+			body         []byte
+		}{
+			{http.MethodPost, "/v1/solve", reqBody},
+			{http.MethodGet, "/v1/jobs/" + fuzzJobID, nil},
+			{http.MethodDelete, "/v1/jobs/" + fuzzJobID, nil},
+		} {
+			code, data := callRouter(t, rq.method, front.URL+rq.path, rq.body)
+			if code < 200 || code > 599 {
+				t.Fatalf("%s %s: router status %d out of range (backend scripted %d)", rq.method, rq.path, code, st)
+			}
+			if code == http.StatusNoContent {
+				if len(data) != 0 {
+					t.Fatalf("%s %s: relayed 204 carries %d body bytes: %q", rq.method, rq.path, len(data), data)
+				}
+			} else if !json.Valid(data) {
+				t.Fatalf("%s %s: router relayed non-JSON (backend scripted status %d, %d bytes, truncate=%v): %q",
+					rq.method, rq.path, st, len(body), tr, data)
+			}
+			code2, data2 := callRouter(t, rq.method, front.URL+rq.path, rq.body)
+			if code2 != code || !bytes.Equal(data2, data) {
+				t.Fatalf("%s %s: repeat answered %d %q, first %d %q (backend scripted status %d, truncate=%v)",
+					rq.method, rq.path, code2, data2, code, data, st, tr)
+			}
 		}
 	})
 }
 
-// postRouter posts body to the router's /v1/solve and returns the
-// status and the whole response body.
-func postRouter(t *testing.T, base string, body []byte) (int, []byte) {
+// fuzzJobID is the canonical-shaped job ID the fuzzed polls and
+// cancels name; the scripted backend answers for it whatever it is.
+const fuzzJobID = "deadbeef-0123456789abcdef"
+
+// callRouter sends one method request with body (nil for none) to url
+// and returns the status and the whole response body.
+func callRouter(t *testing.T, method, url string, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("router itself failed to answer: %v", err)
 	}

@@ -75,12 +75,12 @@ type legResult struct {
 // their failures are not charged to any breaker (sendOne sees the
 // shared context cancelled). With hedging disabled or fewer than two
 // healthy members it degrades to the plain chain.
-func (rt *Router) forwardHedged(ctx context.Context, kind, key string, body []byte) (*client.Response, *member, error) {
+func (rt *Router) forwardHedged(ctx context.Context, rq proxyReq) (*client.Response, *member, error) {
 	p := rt.pool.Load()
 	if rt.cfg.DisableHedging || p.healthyCount() < 2 {
-		return rt.forwardChain(ctx, p, kind, key, body, map[int]bool{}, -1, 0)
+		return rt.forwardChain(ctx, p, rq, map[int]bool{}, -1, 0)
 	}
-	first := rt.pickFrom(p, key, map[int]bool{})
+	first := rt.pickFrom(p, rt.policyFor(rq.pinned), rq.key, map[int]bool{})
 	if first < 0 {
 		return nil, nil, errNoBackend
 	}
@@ -88,10 +88,10 @@ func (rt *Router) forwardHedged(ctx context.Context, kind, key string, body []by
 	defer cancel()
 	results := make(chan legResult, 2) // buffered: a losing leg never blocks
 	go func() {
-		resp, m, err := rt.forwardChain(hctx, p, kind, key, body, map[int]bool{}, first, 0)
+		resp, m, err := rt.forwardChain(hctx, p, rq, map[int]bool{}, first, 0)
 		results <- legResult{resp, m, err, false}
 	}()
-	timer := time.NewTimer(rt.hedgeDelay(kind))
+	timer := time.NewTimer(rt.hedgeDelay(rq.kind))
 	defer timer.Stop()
 
 	tr := obs.TraceFromContext(ctx)
@@ -111,7 +111,7 @@ func (rt *Router) forwardHedged(ctx context.Context, kind, key string, body []by
 				// legs share the trace ID with distinct span IDs.
 				hedgeSpan = tr.StartSpan("hedge")
 				go func() {
-					resp, m, err := rt.forwardChain(hctx, p, kind, key, body, map[int]bool{first: true}, -1, 0)
+					resp, m, err := rt.forwardChain(hctx, p, rq, map[int]bool{first: true}, -1, 0)
 					results <- legResult{resp, m, err, true}
 				}()
 			}

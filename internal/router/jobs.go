@@ -1,16 +1,19 @@
-// The campaign-job proxy: /v1/jobs* routed over the pool. Unlike a
-// solve — stateless, answerable by any backend — a job is pinned
-// state: it lives (with its checkpoint file) on the one backend that
-// accepted it. So the jobs path always routes on the consistent-hash
-// ring, whatever policy the router was configured with: a submit is
+// The campaign-job proxy: /v1/jobs* routed over the pool through the
+// same failover loop as every other request. Unlike a solve —
+// stateless, answerable by any backend — a job is pinned state: it
+// lives (with its checkpoint file) on the one backend that accepted
+// it. So a job request is pinned: it routes on the consistent-hash
+// ring whatever policy the router was configured with. A submit is
 // keyed by the body's instance hash, and because a job ID is prefixed
 // with that same hash (jobs.ID), every later poll or cancel recovers
 // the key from the ID alone (jobs.InstanceHashOfID) and lands on the
 // same member without the router holding any job table. When the ring
 // has shifted under a live job (a member was added or evicted between
-// submit and poll), the affinity target answers 404 — polls and
-// cancels treat that as a failover signal and sweep the remaining
-// healthy members for the job before relaying the 404.
+// submit and poll), the ring target answers 404 — a poll or cancel
+// fails over on that 404 to the next ring members before relaying it.
+// Job requests never hedge: a submit mutates backend state, and the
+// content-derived job identity already makes an accidental
+// double-submit a dedupe, not a recompute.
 
 package router
 
@@ -18,9 +21,7 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"time"
 
-	"energysched/internal/client"
 	"energysched/internal/jobs"
 )
 
@@ -35,114 +36,9 @@ func jobKey(id string) string {
 	return "body:" + strconv.FormatUint(hashKey(id), 16)
 }
 
-// pickJob picks the ring member for key, skipping unhealthy members
-// and those in tried — breaker-gated on the first pass, health-only on
-// the fallback, mirroring pickFrom but never consulting the configured
-// policy: job state is pinned, so only the ring knows where it lives.
-func (rt *Router) pickJob(p *pool, key string, tried map[int]bool) int {
-	now := time.Now()
-	if i := p.ring.lookup(key, func(i int) bool {
-		m := p.members[i]
-		return m.healthy.Load() && !tried[i] && m.br.canTry(now)
-	}); i >= 0 {
-		return i
-	}
-	return p.ring.lookup(key, func(i int) bool {
-		return p.members[i].healthy.Load() && !tried[i]
-	})
-}
-
-// jobUnusable is unusable adjusted for the one jobs-path shape the
-// solve paths never see: a 204 cancel acknowledgement, whose empty
-// body is correct, not a half-written response.
-func jobUnusable(resp *client.Response) bool {
-	if resp.Status == http.StatusNoContent {
-		return false
-	}
-	return unusable(resp)
-}
-
-// sendJob issues one method-shaped attempt to m, feeding the outcome
-// to the member's breaker exactly as sendOne does for POST kinds. A
-// 404 is a real answer (the member simply does not hold the job), so
-// it never counts against the breaker.
-func (rt *Router) sendJob(ctx context.Context, m *member, method, path string, body []byte) (*client.Response, error) {
-	rt.brEnter(m)
-	m.outstanding.Add(1)
-	rt.proxied.Add(1)
-	var resp *client.Response
-	var err error
-	switch method {
-	case http.MethodPost:
-		resp, err = m.client.Post(ctx, path, body)
-	case http.MethodDelete:
-		resp, err = m.client.Delete(ctx, path)
-	default:
-		resp, err = m.client.Get(ctx, path)
-	}
-	m.outstanding.Add(-1)
-	if err != nil {
-		if ctx.Err() == nil {
-			rt.brRecord(m, false)
-		}
-		return nil, err
-	}
-	m.proxied.Add(1)
-	rt.brRecord(m, !jobUnusable(resp))
-	return resp, nil
-}
-
-// forwardJob is forwardChain's ring-pinned sibling for the jobs API:
-// failover past transport errors and unusable responses up to Retries
-// times, and — when retryNotFound is set, the poll/cancel paths —
-// past 404s too, sweeping other members in ring order in case the job
-// was accepted before a membership change moved the key's arc. When
-// every attempt 404s the last 404 is relayed: the job genuinely is
-// unknown.
-func (rt *Router) forwardJob(ctx context.Context, method, path, key string, body []byte, retryNotFound bool) (*client.Response, *member, error) {
-	p := rt.pool.Load()
-	tried := map[int]bool{}
-	var lastErr error
-	var lastResp *client.Response
-	var lastMember *member
-	for attempt := 0; attempt <= rt.cfg.Retries; attempt++ {
-		i := rt.pickJob(p, key, tried)
-		if i < 0 {
-			break
-		}
-		m := p.members[i]
-		resp, err := rt.sendJob(ctx, m, method, path, body)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, nil, err
-			}
-			lastErr = err
-			tried[i] = true
-			rt.retried.Add(1)
-			continue
-		}
-		if jobUnusable(resp) || (retryNotFound && resp.Status == http.StatusNotFound) {
-			lastResp, lastMember = resp, m
-			tried[i] = true
-			rt.retried.Add(1)
-			continue
-		}
-		return resp, m, nil
-	}
-	if lastResp != nil {
-		return lastResp, lastMember, nil
-	}
-	if lastErr != nil {
-		return nil, nil, lastErr
-	}
-	return nil, nil, errNoBackend
-}
-
 // handleJobSubmit proxies POST /v1/jobs, keyed by the body's instance
 // hash — the same key the backend will prefix the job ID with, so the
-// submit and every subsequent poll agree on the ring arc. No hedging:
-// a submit mutates backend state, and the content-derived job identity
-// already makes an accidental double-submit a dedupe, not a recompute.
+// submit and every subsequent poll agree on the ring arc.
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := rt.readBody(w, r)
 	if err != nil {
@@ -150,12 +46,10 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
-	resp, m, err := rt.forwardJob(ctx, http.MethodPost, "/v1/jobs", rt.routingKey("jobs", body), body, false)
-	if err != nil {
-		rt.writeForwardError(w, err)
-		return
-	}
-	rt.relay(w, resp, m)
+	rt.forwardRelay(ctx, w, proxyReq{
+		method: http.MethodPost, path: "/v1/jobs", body: body,
+		key: rt.routingKey("jobs", body), pinned: true,
+	})
 }
 
 // handleJobGet proxies GET /v1/jobs/{id} to the ring member the ID's
@@ -176,7 +70,10 @@ func (rt *Router) proxyJobByID(w http.ResponseWriter, r *http.Request, method st
 	id := r.PathValue("id")
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
-	resp, m, err := rt.forwardJob(ctx, method, "/v1/jobs/"+id, jobKey(id), nil, true)
+	resp, m, err := rt.forwardChain(ctx, rt.pool.Load(), proxyReq{
+		method: method, path: "/v1/jobs/" + id,
+		key: jobKey(id), pinned: true, notFoundFails: true,
+	}, map[int]bool{}, -1, 0)
 	if err != nil {
 		rt.writeForwardError(w, err)
 		return

@@ -202,6 +202,73 @@ func TestRouterJobPollFailsOverOn404(t *testing.T) {
 	}
 }
 
+// TestRouterJobPollFailsOverPastDeadOwner kills the ring owner of a
+// job that a second member also holds: a poll meets a refused
+// connection at the owner, fails over to the holder, and charges the
+// owner's breaker — the same chain, and the same accounting, as a
+// solve meeting a dead member.
+func TestRouterJobPollFailsOverPastDeadOwner(t *testing.T) {
+	c, err := router.NewTestCluster(2, router.WithRouterConfig(func(cfg *router.Config) {
+		// One charged failure opens the circuit, so /stats shows it.
+		cfg.BreakerThreshold = 1
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	resp, body, ownerURL := postJobJSON(t, c.URL()+"/v1/jobs", jobBody(30))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var ack struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &ack); err != nil || ack.ID == "" {
+		t.Fatalf("submit ack %s (err %v)", body, err)
+	}
+	owner := backendIndex(t, c, ownerURL)
+	holder := 1 - owner
+	// The job ID is content-derived, so the holder files the same job
+	// under the same ID.
+	resp, body, _ = postJobJSON(t, c.BackendURL(holder)+"/v1/jobs", jobBody(30))
+	if resp.StatusCode != http.StatusAccepted || !strings.Contains(string(body), ack.ID) {
+		t.Fatalf("direct submit to holder: %d %s, want job %s", resp.StatusCode, body, ack.ID)
+	}
+	if final, doc, _ := pollJobDone(t, c.BackendURL(holder), ack.ID); final.StatusCode != http.StatusOK {
+		t.Fatalf("holder never finished the job: %d %s", final.StatusCode, doc)
+	}
+
+	c.BackendSrvs[owner].Close() // connections to the owner are now refused
+	got, err := http.Get(c.URL() + "/v1/jobs/" + ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := readAll(t, got)
+	got.Body.Close()
+	if got.StatusCode != http.StatusOK {
+		t.Fatalf("poll with a dead owner: %d %s, want 200 from the holder", got.StatusCode, doc)
+	}
+	if servedBy := got.Header.Get("X-Backend"); servedBy != c.BackendURL(holder) {
+		t.Errorf("poll served by %s, want the holder %s", servedBy, c.BackendURL(holder))
+	}
+	var stats struct {
+		Router struct {
+			Retried int64 `json:"retried"`
+		} `json:"router"`
+		Resilience struct {
+			BreakerOpened int64 `json:"breakerOpened"`
+		} `json:"resilience"`
+	}
+	getJSON(t, c.URL()+"/stats", &stats)
+	if stats.Router.Retried != 1 {
+		t.Errorf("router.retried = %d, want the one failover past the dead owner", stats.Router.Retried)
+	}
+	if stats.Resilience.BreakerOpened != 1 {
+		t.Errorf("resilience.breakerOpened = %d, want the dead owner's breaker charged open", stats.Resilience.BreakerOpened)
+	}
+}
+
 // TestRouterJobPinnedUnderRandomPolicy asserts the jobs path ignores
 // the configured policy: even under random routing, every poll of a
 // router-submitted job lands on the backend that accepted it (the

@@ -1,6 +1,7 @@
 package router_test
 
 import (
+	"bytes"
 	"net/http"
 	"strconv"
 	"strings"
@@ -54,11 +55,13 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRouterRequestTracing drives one solve through the cluster and
-// follows its identity across both hops: the router assigns the trace
-// ID, its attempt span records the picked backend and breaker state,
-// and the backend's own trace carries the same ID with the router's
-// span as parent — the join /debug/traces exists for.
+// TestRouterRequestTracing drives one solve and one job submit through
+// the cluster and follows each request's identity across both hops:
+// the router assigns the trace ID, its attempt span records the picked
+// backend, breaker state and status, and the backend's own trace
+// carries the same ID with the router's span as parent — the join
+// /debug/traces exists for. Job requests run the same failover chain
+// as solves, so they are traced the same way.
 func TestRouterRequestTracing(t *testing.T) {
 	c, err := router.NewTestCluster(2, router.WithRouterConfig(func(cfg *router.Config) {
 		cfg.TraceSeed = 7
@@ -71,70 +74,88 @@ func TestRouterRequestTracing(t *testing.T) {
 	}
 	defer c.Close()
 
-	resp, _, backend := postSolve(t, c, solveBody(5))
-	id := resp.Header.Get("X-Request-Id")
-	if resp.StatusCode != 200 || len(id) != 16 {
-		t.Fatalf("solve: status %d, X-Request-Id %q (want a 16-hex generated ID)", resp.StatusCode, id)
-	}
-
-	var routerTraces struct {
-		Service string            `json:"service"`
-		Traces  []obs.TraceRecord `json:"traces"`
-	}
-	getJSON(t, c.URL()+"/debug/traces", &routerTraces)
-	if routerTraces.Service != "energyrouter" {
-		t.Fatalf("service = %q, want energyrouter", routerTraces.Service)
-	}
-	var rec *obs.TraceRecord
-	for i := range routerTraces.Traces {
-		if routerTraces.Traces[i].ID == id {
-			rec = &routerTraces.Traces[i]
-			break
-		}
-	}
-	if rec == nil {
-		t.Fatalf("router ring has no trace %q", id)
-	}
-	attempt := 0
-	for _, sp := range rec.Spans {
-		if sp.Name == "attempt" {
-			attempt = sp.ID
-			if !strings.Contains(sp.Note, backend) || !strings.Contains(sp.Note, "breaker=closed") || !strings.Contains(sp.Note, "status 200") {
-				t.Errorf("attempt span note %q, want backend %q, breaker state and status", sp.Note, backend)
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		status     int
+		// backendSpan is a span the serving backend's trace must hold,
+		// empty when the endpoint records none of its own.
+		backendSpan string
+	}{
+		{"solve", "/v1/solve", solveBody(5), http.StatusOK, "cache.lookup"},
+		{"job submit", "/v1/jobs", jobBody(5), http.StatusAccepted, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(c.URL()+tc.path, "application/json", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if attempt == 0 {
-		t.Fatalf("router trace %q has no attempt span: %+v", id, rec.Spans)
-	}
+			readAll(t, resp)
+			resp.Body.Close()
+			backend := resp.Header.Get("X-Backend")
+			id := resp.Header.Get("X-Request-Id")
+			if resp.StatusCode != tc.status || len(id) != 16 {
+				t.Fatalf("status %d, X-Request-Id %q (want %d and a 16-hex generated ID)", resp.StatusCode, id, tc.status)
+			}
 
-	// The serving backend saw the propagated ID and the attempt span as
-	// its parent.
-	var backendTraces struct {
-		Service string            `json:"service"`
-		Traces  []obs.TraceRecord `json:"traces"`
+			var routerTraces struct {
+				Service string            `json:"service"`
+				Traces  []obs.TraceRecord `json:"traces"`
+			}
+			getJSON(t, c.URL()+"/debug/traces", &routerTraces)
+			if routerTraces.Service != "energyrouter" {
+				t.Fatalf("service = %q, want energyrouter", routerTraces.Service)
+			}
+			rec := findTrace(routerTraces.Traces, id)
+			if rec == nil {
+				t.Fatalf("router ring has no trace %q", id)
+			}
+			attempt := 0
+			wantStatus := "status " + strconv.Itoa(tc.status)
+			for _, sp := range rec.Spans {
+				if sp.Name == "attempt" {
+					attempt = sp.ID
+					if !strings.Contains(sp.Note, backend) || !strings.Contains(sp.Note, "breaker=closed") || !strings.Contains(sp.Note, wantStatus) {
+						t.Errorf("attempt span note %q, want backend %q, breaker state and %q", sp.Note, backend, wantStatus)
+					}
+				}
+			}
+			if attempt == 0 {
+				t.Fatalf("router trace %q has no attempt span: %+v", id, rec.Spans)
+			}
+
+			// The serving backend saw the propagated ID and the attempt
+			// span as its parent.
+			var backendTraces struct {
+				Traces []obs.TraceRecord `json:"traces"`
+			}
+			getJSON(t, backend+"/debug/traces", &backendTraces)
+			brec := findTrace(backendTraces.Traces, id)
+			if brec == nil {
+				t.Fatalf("backend %s has no trace %q — X-Request-Id did not propagate", backend, id)
+			}
+			if want := strconv.Itoa(attempt); brec.Parent != want {
+				t.Errorf("backend trace parentSpan = %q, want %q (the router's attempt span)", brec.Parent, want)
+			}
+			if tc.backendSpan == "" {
+				return
+			}
+			for _, sp := range brec.Spans {
+				if sp.Name == tc.backendSpan {
+					return
+				}
+			}
+			t.Errorf("backend trace has no %s span: %+v", tc.backendSpan, brec.Spans)
+		})
 	}
-	getJSON(t, backend+"/debug/traces", &backendTraces)
-	var brec *obs.TraceRecord
-	for i := range backendTraces.Traces {
-		if backendTraces.Traces[i].ID == id {
-			brec = &backendTraces.Traces[i]
-			break
+}
+
+// findTrace returns the trace with ID id in traces, nil when absent.
+func findTrace(traces []obs.TraceRecord, id string) *obs.TraceRecord {
+	for i := range traces {
+		if traces[i].ID == id {
+			return &traces[i]
 		}
 	}
-	if brec == nil {
-		t.Fatalf("backend %s has no trace %q — X-Request-Id did not propagate", backend, id)
-	}
-	if want := strconv.Itoa(attempt); brec.Parent != want {
-		t.Errorf("backend trace parentSpan = %q, want %q (the router's attempt span)", brec.Parent, want)
-	}
-	found := false
-	for _, sp := range brec.Spans {
-		if sp.Name == "cache.lookup" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("backend trace has no cache.lookup span: %+v", brec.Spans)
-	}
+	return nil
 }

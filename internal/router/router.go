@@ -12,7 +12,8 @@
 //	GET  /v1/jobs/{id}  — job poll/cancel, pinned by the instance-hash
 //	DELETE /v1/jobs/{id}  prefix of the ID; 404s fail over in case the
 //	                      job lives on another member
-//	GET  /v1/solvers    — forwarded to any healthy backend
+//	GET  /v1/solvers    — proxied under ProbeTimeout (the registry is
+//	                      identical across the pool)
 //	GET  /healthz       — router liveness (503 when no backend is healthy)
 //	GET  /stats         — backend counters summed + per-backend health
 //	GET  /admin/backends  — current membership and health
@@ -38,6 +39,19 @@
 // backend 502/503s and corrupt (invalid-JSON 2xx) responses all fail
 // over to another backend, so a fault window never surfaces as a
 // caller-visible error while a clean member remains.
+//
+// Every caller request reaches a backend through one failover loop,
+// forwardChain, which picks with pickFrom and sends with sendOne. A
+// proxyReq describes the request: method, path, body, routing key, the
+// latency kind that drives hedging (empty for requests that never
+// hedge), and two properties of the request rather than of the path
+// it came in on — pinned, which routes on the ring whatever the
+// configured policy (job state lives on one member), and
+// notFoundFails, which makes a 404 fail over (a poll may reach a
+// member that does not hold the job). So breakers, failover counts and
+// attempt spans cover every proxied request alike. The only other
+// backend calls are the router's own: health probes and /stats
+// scrapes.
 package router
 
 import (
@@ -123,8 +137,8 @@ type Config struct {
 	// ProbeInterval is the Run loop's probe period (default
 	// DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each health probe and each backend /stats
-	// scrape (default DefaultProbeTimeout).
+	// ProbeTimeout bounds each health probe, each backend /stats
+	// scrape and each GET /v1/solvers (default DefaultProbeTimeout).
 	ProbeTimeout time.Duration
 	// RequestTimeout bounds each proxied backend request; keep it
 	// above the backends' solve timeout so the backend's own 504
@@ -442,35 +456,29 @@ func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
 // Policy returns the resolved routing policy name.
 func (rt *Router) Policy() string { return rt.cfg.Policy }
 
-// pick chooses a backend for key under the configured policy over the
-// current pool snapshot; see pickFrom.
-func (rt *Router) pick(key string, tried map[int]bool) int {
-	return rt.pickFrom(rt.pool.Load(), key, tried)
-}
-
-// pickFrom chooses a backend for key in p, skipping unhealthy members,
+// pickFrom chooses a backend for key in p under policy, skipping unhealthy members,
 // those in tried, and — on the first pass — those whose circuit
 // breaker refuses traffic. When every candidate is breaker-blocked it
 // falls back to health-only selection: breakers steer traffic, they
 // never self-inflict an outage. It returns -1 when no member
 // qualifies. Selection is read-only; the caller commits the breaker
 // transition via sendOne → brEnter.
-func (rt *Router) pickFrom(p *pool, key string, tried map[int]bool) int {
+func (rt *Router) pickFrom(p *pool, policy, key string, tried map[int]bool) int {
 	now := time.Now()
-	if i := rt.pickBy(p, key, func(i int) bool {
+	if i := rt.pickBy(p, policy, key, func(i int) bool {
 		m := p.members[i]
 		return m.healthy.Load() && !tried[i] && m.br.canTry(now)
 	}); i >= 0 {
 		return i
 	}
-	return rt.pickBy(p, key, func(i int) bool {
+	return rt.pickBy(p, policy, key, func(i int) bool {
 		return p.members[i].healthy.Load() && !tried[i]
 	})
 }
 
-// pickBy runs the configured policy over the members alive() admits.
-func (rt *Router) pickBy(p *pool, key string, alive func(int) bool) int {
-	switch rt.cfg.Policy {
+// pickBy runs policy over the members alive() admits.
+func (rt *Router) pickBy(p *pool, policy, key string, alive func(int) bool) int {
+	switch policy {
 	case PolicyLeastLoaded:
 		best, bestLoad := -1, int64(0)
 		for i, m := range p.members {
@@ -541,24 +549,57 @@ func bodyKey(b []byte) string {
 // per-backend 502s.
 var errNoBackend = errors.New("router: no healthy backend")
 
+// proxyReq is one caller request as forwardChain sends it to a
+// backend. It travels by value, so the hot path allocates nothing for
+// it.
+type proxyReq struct {
+	method, path string
+	body         []byte // nil for GET and DELETE
+	key          string // routing key
+	// kind names the latency histogram a successful attempt feeds and
+	// the hedge delay is derived from; empty for requests that never
+	// hedge (jobs, /v1/solvers).
+	kind string
+	// pinned routes on the ring whatever Config.Policy says: a job
+	// lives on the one member that accepted it.
+	pinned bool
+	// notFoundFails makes a 404 fail over: a job poll or cancel may
+	// reach a member that does not hold the job.
+	notFoundFails bool
+}
+
+// policyFor is the policy a request is picked under: the ring when it
+// is pinned, the configured policy otherwise.
+func (rt *Router) policyFor(pinned bool) string {
+	if pinned {
+		return PolicyAffinity
+	}
+	return rt.cfg.Policy
+}
+
 // unusable reports whether a backend response is an infrastructure
 // failure the router fails over (and the breaker counts against the
-// member): a 502/503, or a 2xx whose body is not valid JSON — a
-// half-written response from a dying process. 4xx, 500 and 504 are
+// member): a 502/503, or a 2xx other than 204 whose body is not valid
+// JSON — a half-written response from a dying process. A 204's empty
+// body is the correct answer to a job cancel. 4xx, 500 and 504 are
 // the backend's answer to the request and are relayed, not retried.
 func unusable(resp *client.Response) bool {
-	if resp.Status == http.StatusBadGateway || resp.Status == http.StatusServiceUnavailable {
+	switch resp.Status {
+	case http.StatusBadGateway, http.StatusServiceUnavailable:
 		return true
+	case http.StatusNoContent:
+		return false
 	}
 	return resp.Status < 300 && !resp.ValidJSON()
 }
 
-// sendOne issues one attempt to m, bounded by perAttempt when
-// positive, and feeds the outcome to the member's breaker and the
-// kind's latency histogram. A failure caused by the caller's own
-// context ending (a parent deadline, a hedge loser being cancelled)
-// says nothing about the backend and is not charged to the breaker.
-func (rt *Router) sendOne(ctx context.Context, m *member, kind string, body []byte, perAttempt time.Duration) (*client.Response, error) {
+// sendOne issues one attempt of rq to m, bounded by perAttempt when
+// positive, and feeds the outcome to the member's breaker and, when
+// rq has a kind, the kind's latency histogram. A failure caused by the
+// caller's own context ending (a parent deadline, a hedge loser being
+// cancelled) says nothing about the backend and is not charged to the
+// breaker.
+func (rt *Router) sendOne(ctx context.Context, m *member, rq proxyReq, perAttempt time.Duration) (*client.Response, error) {
 	rt.brEnter(m)
 	actx := ctx
 	var cancel context.CancelFunc
@@ -569,7 +610,7 @@ func (rt *Router) sendOne(ctx context.Context, m *member, kind string, body []by
 	m.outstanding.Add(1)
 	rt.proxied.Add(1)
 	t0 := time.Now()
-	resp, err := m.client.PostKind(actx, kind, body)
+	resp, err := m.client.Do(actx, rq.method, rq.path, rq.body)
 	m.outstanding.Add(-1)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -580,30 +621,25 @@ func (rt *Router) sendOne(ctx context.Context, m *member, kind string, body []by
 	m.proxied.Add(1)
 	ok := !unusable(resp)
 	rt.brRecord(m, ok)
-	if ok {
-		rt.observeLatency(kind, time.Since(t0))
+	if ok && rq.kind != "" {
+		rt.observeLatency(rq.kind, time.Since(t0))
 	}
 	return resp, nil
 }
 
-// forward sends body to policy-picked backends until one answers,
-// failing over past failed attempts up to Retries times. It returns
-// the first usable HTTP response (backend 4xx/500/504 are relayed,
-// not retried) and the member that produced it.
-func (rt *Router) forward(ctx context.Context, kind, key string, body []byte) (*client.Response, *member, error) {
-	return rt.forwardChain(ctx, rt.pool.Load(), kind, key, body, map[int]bool{}, -1, 0)
-}
-
-// forwardChain is the failover loop every forwarding path shares.
-// Members in tried are skipped; preferred ≥ 0 short-circuits the
-// policy for the first attempt (the batch scatter target, a hedge's
-// pre-picked first leg). Besides transport errors, an unusable
-// response — 502/503, corrupt 2xx — fails over: solves are
-// deterministic and idempotent, so re-sending is always safe. When
-// every attempt fails the last response is returned rather than
-// masked, and a chain cut short by its own context's end returns that
-// error without blaming further members.
-func (rt *Router) forwardChain(ctx context.Context, p *pool, kind, key string, body []byte, tried map[int]bool, preferred int, perAttempt time.Duration) (*client.Response, *member, error) {
+// forwardChain is the failover loop every proxied request runs
+// through, trying at most Retries+1 members. Members in tried are
+// skipped; preferred ≥ 0 short-circuits the policy for the first
+// attempt (the batch scatter target, a hedge's pre-picked first leg).
+// Besides transport errors, an unusable response — 502/503, corrupt
+// 2xx — fails over, and so does a 404 when rq.notFoundFails: solves
+// are deterministic and idempotent, and a job submit is keyed by its
+// content, so re-sending is always safe. When every attempt fails the
+// last response is returned rather than masked (an unknown job's 404
+// is relayed after the sweep), and a chain cut short by its own
+// context's end returns that error without blaming further members.
+func (rt *Router) forwardChain(ctx context.Context, p *pool, rq proxyReq, tried map[int]bool, preferred int, perAttempt time.Duration) (*client.Response, *member, error) {
+	policy := rt.policyFor(rq.pinned)
 	tr := obs.TraceFromContext(ctx)
 	var lastErr error
 	var lastResp *client.Response
@@ -614,7 +650,7 @@ func (rt *Router) forwardChain(ctx context.Context, p *pool, kind, key string, b
 			p.members[preferred].healthy.Load() && !tried[preferred] {
 			i = preferred
 		} else {
-			i = rt.pickFrom(p, key, tried)
+			i = rt.pickFrom(p, policy, rq.key, tried)
 		}
 		if i < 0 {
 			break
@@ -636,7 +672,7 @@ func (rt *Router) forwardChain(ctx context.Context, p *pool, kind, key string, b
 			picked = m.url + " breaker=" + m.br.stateName() + " "
 			actx = obs.ContextWithSpanID(ctx, strconv.Itoa(span))
 		}
-		resp, err := rt.sendOne(actx, m, kind, body, perAttempt)
+		resp, err := rt.sendOne(actx, m, rq, perAttempt)
 		if err != nil {
 			if ctx.Err() != nil {
 				tr.EndSpan(span, picked+"canceled")
@@ -648,7 +684,7 @@ func (rt *Router) forwardChain(ctx context.Context, p *pool, kind, key string, b
 			rt.retried.Add(1)
 			continue
 		}
-		if unusable(resp) {
+		if unusable(resp) || (rq.notFoundFails && resp.Status == http.StatusNotFound) {
 			if tr != nil {
 				tr.EndSpan(span, picked+"unusable status "+strconv.Itoa(resp.Status))
 			}
@@ -676,6 +712,7 @@ func (rt *Router) forwardChain(ctx context.Context, p *pool, kind, key string, b
 // cache holds the last good response for these exact bytes, that
 // response is re-served instead of the error.
 func (rt *Router) proxyHandler(kind string) http.HandlerFunc {
+	path := "/v1/" + kind
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := rt.readBody(w, r)
 		if err != nil {
@@ -683,7 +720,10 @@ func (rt *Router) proxyHandler(kind string) http.HandlerFunc {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		resp, m, err := rt.forwardHedged(ctx, kind, rt.routingKey(kind, body), body)
+		resp, m, err := rt.forwardHedged(ctx, proxyReq{
+			method: http.MethodPost, path: path, body: body,
+			key: rt.routingKey(kind, body), kind: kind,
+		})
 		if err == nil && !unusable(resp) {
 			if resp.Status == http.StatusOK {
 				rt.degradedPut(kind, body, resp.Body)
@@ -772,24 +812,24 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleSolvers forwards GET /v1/solvers to the first healthy backend
-// that answers — the registry is identical across the pool.
+// handleSolvers proxies GET /v1/solvers under ProbeTimeout. The
+// registry is identical across the pool, so any member's answer is
+// the cluster's.
 func (rt *Router) handleSolvers(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout)
 	defer cancel()
-	for _, m := range rt.pool.Load().members {
-		if !m.healthy.Load() {
-			continue
-		}
-		resp, err := m.client.Get(ctx, "/v1/solvers")
-		if err != nil || !resp.ValidJSON() {
-			continue
-		}
-		rt.relay(w, resp, m)
+	rt.forwardRelay(ctx, w, proxyReq{method: http.MethodGet, path: "/v1/solvers", key: "/v1/solvers"})
+}
+
+// forwardRelay runs rq's failover chain over the current pool and
+// writes the outcome: the answer relayed, or the forward error.
+func (rt *Router) forwardRelay(ctx context.Context, w http.ResponseWriter, rq proxyReq) {
+	resp, m, err := rt.forwardChain(ctx, rt.pool.Load(), rq, map[int]bool{}, -1, 0)
+	if err != nil {
+		rt.writeForwardError(w, err)
 		return
 	}
-	rt.noBackend.Add(1)
-	rt.writeError(w, http.StatusServiceUnavailable, errNoBackend.Error())
+	rt.relay(w, resp, m)
 }
 
 // handleHealthz reports router liveness: healthy while at least one
