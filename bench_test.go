@@ -67,8 +67,7 @@ func Benchmark_E15_ListSchedule(b *testing.B)   { benchReport(b, experiments.E15
 func Benchmark_E16_Replication(b *testing.B) {
 	benchReport(b, experiments.E16ReplicationVsReexec)
 }
-func Benchmark_E17_DPvsBB(b *testing.B)     { benchReport(b, experiments.E17DPvsBranchAndBound) }
-func Benchmark_E18_BatchSolve(b *testing.B) { benchReport(b, experiments.E18BatchSolve) }
+func Benchmark_E17_DPvsBB(b *testing.B) { benchReport(b, experiments.E17DPvsBranchAndBound) }
 
 // --- Solver micro-benchmarks ---
 

@@ -13,7 +13,8 @@ import (
 )
 
 // determinismBatch builds a mixed batch — continuous chains, discrete
-// chains and TRI-CRIT forks of varying sizes — large enough that an
+// chains, VDD-hopping chains and forks, and TRI-CRIT forks of varying
+// sizes, so every speed model's solver runs — large enough that an
 // 8-worker pool interleaves completions out of input order.
 func determinismBatch() []*Instance {
 	var ins []*Instance
@@ -25,6 +26,17 @@ func determinismBatch() []*Instance {
 		mp, _ := platform.SingleProcessor(g)
 		sm, _ := model.NewDiscrete(model.XScaleLevels())
 		ins = append(ins, &Instance{Graph: g, Mapping: mp, Speed: sm, Deadline: 10 + float64(i)})
+	}
+	for i := 0; i < 8; i++ {
+		sm, _ := model.NewVddHopping(model.XScaleLevels())
+		if i%2 == 0 {
+			g := dag.ChainGraph(2, 1, float64(1+i%3))
+			mp, _ := platform.SingleProcessor(g)
+			ins = append(ins, &Instance{Graph: g, Mapping: mp, Speed: sm, Deadline: 8 + float64(i)})
+		} else {
+			g := dag.ForkGraph(1, 2, float64(i))
+			ins = append(ins, &Instance{Graph: g, Mapping: platform.OneTaskPerProcessor(g), Speed: sm, Deadline: 4 + float64(i)})
+		}
 	}
 	for i := 0; i < 8; i++ {
 		ins = append(ins, triInstance(5+float64(i)))
@@ -56,22 +68,24 @@ func snapshotItems(t *testing.T, items []BatchItem) []byte {
 }
 
 // TestSolveAllDeterministic is the batch-side determinism invariant
-// (SNIPPETS H13): the same batch solved twice under WithWorkers(8)
-// must produce byte-identical results in input order — worker
-// scheduling may reorder execution, never observable output.
+// (SNIPPETS H13): the same batch solved sequentially (WithWorkers(1))
+// and twice under WithWorkers(8) must produce byte-identical results
+// in input order — worker scheduling may reorder execution, never
+// observable output.
 func TestSolveAllDeterministic(t *testing.T) {
 	ctx := context.Background()
-	run := func() []byte {
-		items := SolveAll(ctx, determinismBatch(), WithWorkers(8), WithLowerBound(true))
+	run := func(workers int) []byte {
+		items := SolveAll(ctx, determinismBatch(), WithWorkers(workers), WithLowerBound(true))
 		return snapshotItems(t, items)
 	}
-	first := run()
-	second := run()
-	if !bytes.Equal(first, second) {
-		t.Errorf("two identical SolveAll runs diverged:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", first, second)
-	}
-	if len(first) == 0 {
+	seq := run(1)
+	if len(seq) == 0 {
 		t.Fatal("empty snapshot; batch produced nothing")
+	}
+	for i := 1; i <= 2; i++ {
+		if par := run(8); !bytes.Equal(seq, par) {
+			t.Errorf("parallel run %d diverged from the sequential run:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s", i, seq, par)
+		}
 	}
 }
 

@@ -462,6 +462,5 @@ func All() []struct {
 		{"E15", E15ListSchedule},
 		{"E16", E16ReplicationVsReexec},
 		{"E17", E17DPvsBranchAndBound},
-		{"E18", E18BatchSolve},
 	}
 }

@@ -164,21 +164,10 @@ func TestE17DPvsBranchAndBound(t *testing.T) {
 	}
 }
 
-func TestE18BatchSolve(t *testing.T) {
-	r := E18BatchSolve()
-	if r.Metrics["instances"] < 32 {
-		t.Errorf("batch has %v instances, want ≥ 32\n%s", r.Metrics["instances"], r.Table)
-	}
-	if r.Metrics["worst_seq_par_energy_mismatch"] > 1e-9 {
-		t.Errorf("sequential and parallel batches disagree by %v\n%s",
-			r.Metrics["worst_seq_par_energy_mismatch"], r.Table)
-	}
-}
-
 func TestAllRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 18 {
-		t.Fatalf("registry has %d drivers, want 18", len(all))
+	if len(all) != 17 {
+		t.Fatalf("registry has %d drivers, want 17", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
