@@ -38,6 +38,10 @@ const CheckpointVersion = 1
 // checkpointSuffix names checkpoint files: <state-dir>/<job-id>.job.json.
 const checkpointSuffix = ".job.json"
 
+// tempPrefix starts the name of WriteAtomic's temp files. One that
+// outlives its write is a crash leftover: New removes it.
+const tempPrefix = ".ckpt-"
+
 // Knobs are the campaign-identity parameters of a job: everything
 // that, together with the instance and solver fingerprint, determines
 // the final Campaign bit-for-bit. They are part of the job ID, so two
@@ -254,7 +258,7 @@ func (cp *Checkpoint) Path(dir string) string {
 // is durable.
 func WriteAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return err
 	}
@@ -277,6 +281,25 @@ func WriteAtomic(path string, data []byte) error {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
+	}
+	return nil
+}
+
+// removeTempFiles deletes the temp files a crash between WriteAtomic's
+// create and rename left in dir. ScanDir skips them, so without this
+// they would pile up across crashes. It must run before anything
+// writes a checkpoint, or it could delete a write in flight.
+func removeTempFiles(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), tempPrefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -228,6 +228,31 @@ func TestWriteAtomicAndScanDir(t *testing.T) {
 	}
 }
 
+// TestNewRemovesCrashTempFiles: a temp file a crash left between
+// WriteAtomic's create and rename is gone once New has run, and the
+// valid checkpoint beside it is untouched.
+func TestNewRemovesCrashTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	cp := testCheckpoint(t)
+	data, _ := cp.Marshal()
+	if err := WriteAtomic(cp.Path(dir), data); err != nil {
+		t.Fatal(err)
+	}
+	leftover := filepath.Join(dir, ".ckpt-123")
+	if err := os.WriteFile(leftover, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Dir: dir, Exec: fakeExec}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("crash leftover %s survived New (stat err %v)", leftover, err)
+	}
+	if got, err := os.ReadFile(cp.Path(dir)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("checkpoint beside the leftover changed: err %v, equal=%t", err, bytes.Equal(got, data))
+	}
+}
+
 func mustReadDir(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)

@@ -139,8 +139,10 @@ type Manager struct {
 	wg sync.WaitGroup
 }
 
-// New builds a Manager. If cfg.Dir is non-empty it is created; call
-// Resume afterwards to reload its checkpoints.
+// New builds a Manager. If cfg.Dir is non-empty it is created and
+// cleared of crash-leftover temp files — here, not in Resume, because
+// a daemon may serve submissions before it resumes; call Resume
+// afterwards to reload the checkpoints.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Exec == nil {
 		return nil, fmt.Errorf("jobs: Config.Exec is required")
@@ -153,6 +155,9 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := removeTempFiles(cfg.Dir); err != nil {
 			return nil, err
 		}
 	}
