@@ -24,7 +24,7 @@ BENCH_FLAGS = -run='^$$' -bench='^($(GATED_BENCHES))$$' -benchmem -benchtime=10x
 BENCHGATE_TIME_TOL ?= 0.10
 BENCHGATE_ALLOC_TOL ?= 0.10
 
-.PHONY: build test race bench bench-check fmt vet simgolden loadsmoke clustersmoke chaossmoke jobsmoke
+.PHONY: build test race bench bench-check fmt vet simgolden fuzzsmoke loadsmoke clustersmoke chaossmoke jobsmoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,26 @@ race:
 # pinned digests (internal/sim/golden_test.go).
 simgolden:
 	ENERGYSCHED_SIM_NO_FASTPATH=1 $(GO) test -count=1 -run 'Golden|Equivalence|Chunked' ./internal/sim
+
+# fuzzsmoke runs every fuzz target for FUZZTIME each, one after the
+# other: the one list CI's fuzz smoke step runs.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	FuzzUnmarshalInstance:./internal/core \
+	FuzzSolveHandler:./internal/server \
+	FuzzBatchHandler:./internal/server \
+	FuzzSimulateHandler:./internal/server \
+	FuzzSweepHandler:./internal/server \
+	FuzzParseTrace:./internal/loadgen \
+	FuzzRouterProxy:./internal/router \
+	FuzzParseChaosSchedule:./internal/chaos \
+	FuzzParseCheckpoint:./internal/jobs
+
+fuzzsmoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t%%:*} $${t#*:}"; \
+		$(GO) test -run='^$$' -fuzz="^$${t%%:*}$$" -fuzztime=$(FUZZTIME) "$${t#*:}"; \
+	done
 
 # loadsmoke replays the committed 10s reference trace against an
 # in-process server at real-time speed under -race; fails on any 5xx
