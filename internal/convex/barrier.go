@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"energysched/internal/dag"
 )
@@ -103,6 +104,7 @@ func MinimizeEnergy(cg *dag.Graph, deadline float64, effWeights, lo, hi []float6
 // solves of any size; only the Result allocates.
 func MinimizeEnergyWS(ws *Workspace, cg *dag.Graph, deadline float64, effWeights, lo, hi []float64, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	ws.iterOK = false
 	n := cg.N()
 	if len(effWeights) != n || len(lo) != n || len(hi) != n {
 		return nil, fmt.Errorf("convex: vector lengths (%d,%d,%d) for %d tasks", len(effWeights), len(lo), len(hi), n)
@@ -225,6 +227,7 @@ func MinimizeEnergyWS(ws *Workspace, cg *dag.Graph, deadline float64, effWeights
 			return nil, errors.New("convex: failed to recover a feasible schedule")
 		}
 	}
+	ws.iterOK, ws.mu, ws.deadline = true, muMin, deadline
 	res := &Result{Durations: d, Speeds: make([]float64, n), Starts: make([]float64, n), Energy: energyOf(effWeights, d), Iterations: iters}
 	for i := 0; i < n; i++ {
 		res.Speeds[i] = effWeights[i] / d[i]
@@ -245,6 +248,129 @@ func (ws *Workspace) fmaxResult(cg *dag.Graph, effWeights []float64) (*Result, e
 		res.Starts[i] = starts[i] - lbD[i]
 	}
 	return res, nil
+}
+
+// Dual is a feasible point of the Lagrangian dual of the energy
+// program, read off a barrier solve and priced per task. For edge
+// multipliers λ ≥ 0 and deadline multipliers ν ≥ 0 with
+// Σ_in λ ≤ Σ_out λ + ν_i at every task (the multipliers of s ≥ 0
+// absorb the difference), minimizing the Lagrangian over s ≥ 0 and
+// each duration's box gives
+//
+//	g(λ, ν) = −D·Σν + Σᵢ min_{d ∈ [Wᵢ/hiᵢ, Wᵢ/loᵢ]} (Wᵢ³/d² + cᵢ·d),  cᵢ = Σ_out λ + νᵢ,
+//
+// and weak duality (Boyd & Vandenberghe §5.2.2) puts g below the
+// optimum. Only task i's term depends on task i's weight and speed
+// box, so one solve's prices bound, in O(1) each, every program on the
+// same constraint graph and deadline that differs from it in one task.
+// The zero Dual certifies nothing.
+type Dual struct {
+	ok    bool
+	g     float64   // g(λ, ν)
+	scale float64   // Σ|termᵢ| + D·Σν, the magnitude the margin is taken of
+	c     []float64 // cᵢ, the price of task i's duration
+	term  []float64 // task i's term of g
+}
+
+// dualMargin is the relative margin a certified bound gives away. A
+// schedule this solver returns may overrun the deadline by up to 1e-9
+// relative (the recovery check in MinimizeEnergyWS), and at deadline
+// D(1+ε) the same multipliers give g − ε·D·Σν, so a computed energy
+// may sit up to 1e-9·D·Σν below the bound at D itself. Rounding in g
+// costs a few ulps per term. 1e-8 of Σ|termᵢ| + D·Σν covers both with
+// room to spare, while the duality gap of a neighbouring program is
+// orders of magnitude wider, so pruning loses almost nothing to it.
+const dualMargin = 1e-8
+
+// Dual reads into dst, reusing its buffers, the dual point of the last
+// solve: λ = μ/g_e and ν = μ/(D − sᵢ − dᵢ) at the final barrier
+// iterate, with νᵢ raised wherever the iterate's in-flow exceeds its
+// out-flow, as inexact centring leaves it. cg and effWeights must be
+// those of the last solve. It returns false, and dst then certifies
+// nothing, when that solve failed or returned the everything-at-fmax
+// schedule, which has no iterate to read.
+func (ws *Workspace) Dual(cg *dag.Graph, effWeights []float64, dst *Dual) bool {
+	dst.ok = false
+	if !ws.iterOK {
+		return false
+	}
+	n, mu, deadline := ws.n, ws.mu, ws.deadline
+	d, s := ws.z[:n], ws.z[n:2*n]
+	dst.c = growF(dst.c, n)
+	dst.term = growF(dst.term, n)
+	sumNu, sumTerm, sumAbs := 0.0, 0.0, 0.0
+	for i := 0; i < n; i++ {
+		out, in := 0.0, 0.0
+		for _, v := range cg.Succs(i) {
+			out += mu / (s[v] - s[i] - d[i])
+		}
+		for _, u := range cg.Preds(i) {
+			in += mu / (s[i] - s[u] - d[u])
+		}
+		nu := mu / (deadline - s[i] - d[i])
+		if in > out+nu {
+			nu = in - out
+		}
+		c := out + nu
+		t := dualTerm(effWeights[i], ws.lbD[i], ws.ubD[i], c)
+		dst.c[i], dst.term[i] = c, t
+		sumNu += nu
+		sumTerm += t
+		sumAbs += math.Abs(t)
+	}
+	dst.g = sumTerm - deadline*sumNu
+	dst.scale = sumAbs + deadline*sumNu
+	// A price that overflowed certifies nothing.
+	dst.ok = !math.IsInf(dst.scale, 0) && !math.IsNaN(dst.scale)
+	return dst.ok
+}
+
+// Clone returns a copy of dl that shares no buffer with it.
+func (dl *Dual) Clone() Dual {
+	c := *dl
+	c.c = slices.Clone(dl.c)
+	c.term = slices.Clone(dl.term)
+	return c
+}
+
+// Bound returns a certified lower bound on the optimum of the program
+// dl was read from, or −Inf if dl certifies nothing.
+func (dl *Dual) Bound() float64 {
+	if !dl.ok {
+		return math.Inf(-1)
+	}
+	return dl.g - dualMargin*dl.scale
+}
+
+// BoundWith returns a certified lower bound on the optimum of the
+// program dl was read from with task i's effective weight and speed
+// bounds replaced by w, lo and hi (lo = 0 for no lower speed bound), or
+// −Inf if dl certifies nothing. A solve of that program by this
+// package never reports an energy below it.
+func (dl *Dual) BoundWith(i int, w, lo, hi float64) float64 {
+	if !dl.ok {
+		return math.Inf(-1)
+	}
+	ub := math.Inf(1)
+	if lo > 0 {
+		ub = w / lo
+	}
+	t := dualTerm(w, w/hi, ub, dl.c[i])
+	return dl.g - dl.term[i] + t - dualMargin*(dl.scale+math.Abs(t))
+}
+
+// dualTerm is min over d ∈ [lb, ub] of W³/d² + c·d, a convex function
+// whose unconstrained minimizer is d = (2W³/c)^(1/3).
+func dualTerm(w, lb, ub, c float64) float64 {
+	w3 := w * w * w
+	d := ub
+	if c > 0 {
+		d = min(max(math.Cbrt(2*w3/c), lb), ub)
+	}
+	if math.IsInf(d, 1) {
+		return 0 // c = 0 and no upper bound: the infimum as d → ∞
+	}
+	return w3/(d*d) + c*d
 }
 
 func energyOf(w, d []float64) float64 {

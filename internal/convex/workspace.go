@@ -17,6 +17,12 @@ import (
 type Workspace struct {
 	n, bw int // tasks, Schur bandwidth (n-1 = effectively dense)
 
+	// The last solve's final barrier iterate lives in z when iterOK;
+	// mu and deadline are the barrier parameter and deadline it was
+	// centred for. Dual reads its multipliers from there.
+	iterOK       bool
+	mu, deadline float64
+
 	// Problem data derived per solve.
 	lbD, ubD []float64
 
@@ -37,6 +43,7 @@ type Workspace struct {
 	bdiag  []float64 // B[u][u]
 	ce     []float64 // per-out-edge constraint curvatures of one task
 	sb, sl []float64 // Schur matrix and its Cholesky factor, banded
+	first  []int     // first[q]: column of row q's first structural nonzero
 	prhs   []float64 // permuted right-hand side / solution scratch
 	py     []float64 // forward-substitution scratch
 
@@ -96,6 +103,7 @@ func (ws *Workspace) prepare(cg *dag.Graph) error {
 	ws.s0 = growF(ws.s0, n)
 	ws.inflated = growF(ws.inflated, n)
 	ws.z = growF(ws.z, 2*n)
+	ws.first = growI(ws.first, n)
 
 	// Kahn's algorithm into ws.topo, queue embedded in the output
 	// slice.
@@ -127,19 +135,32 @@ func (ws *Workspace) prepare(cg *dag.Graph) error {
 		ws.pos[t] = k
 	}
 
-	// Bandwidth of the Schur complement: the rank-1 update of task u
-	// touches the s-variables of {u} ∪ succ(u), and u precedes its
-	// successors in topological order.
+	// Envelope and bandwidth of the Schur complement: the rank-1
+	// update of task u touches the s-variables of {u} ∪ succ(u), and u
+	// precedes its successors in topological order, so row pos[v]'s
+	// first nonzero is its earliest predecessor. Sibling pairs of u lie
+	// after pos[u] and never reach further left.
+	for q := range ws.first {
+		ws.first[q] = q
+	}
 	bw := 0
 	for u := 0; u < n; u++ {
+		qu := ws.pos[u]
 		for _, v := range cg.Succs(u) {
-			if d := ws.pos[v] - ws.pos[u]; d > bw {
-				bw = d
+			qv := ws.pos[v]
+			if qu < ws.first[qv] {
+				ws.first[qv] = qu
+			}
+			if qv-qu > bw {
+				bw = qv - qu
 			}
 		}
 	}
 	if ws.forceDense && n > 0 {
 		bw = n - 1
+		for q := range ws.first {
+			ws.first[q] = 0
+		}
 	}
 	ws.bw = bw
 	ws.sb = growF(ws.sb, n*(bw+1))
@@ -179,25 +200,29 @@ func (ws *Workspace) addS(qa, qb int, v float64) {
 // S·x = prhs in place (prhs holds the solution on return), applying
 // the same adaptive diagonal regularization schedule as the historic
 // dense solver. Returns false if the matrix resists regularization.
+//
+// Row i of the factor is nonzero only from column first[i] on (fill-in
+// stays inside the envelope), so every loop starts there instead of
+// at the band's edge. The entries left of the envelope are never
+// written and hold whatever an earlier solve left, so no loop may
+// read them: back-substitution skips rows k whose envelope starts
+// after column i.
 func (ws *Workspace) bandCholSolve() bool {
 	n, bw := ws.n, ws.bw
 	w := bw + 1
-	sb, sl := ws.sb, ws.sl
+	sb, sl, first := ws.sb, ws.sl, ws.first
 	reg := 0.0
 	for attempt := 0; attempt < 8; attempt++ {
 		ok := true
 	factor:
 		for i := 0; i < n; i++ {
-			jmin := i - bw
-			if jmin < 0 {
-				jmin = 0
-			}
-			for j := jmin; j <= i; j++ {
+			fi := first[i]
+			for j := fi; j <= i; j++ {
 				sum := sb[i*w+(j-i+bw)]
 				if i == j {
 					sum += reg
 				}
-				for k := jmin; k < j; k++ {
+				for k := max(fi, first[j]); k < j; k++ {
 					sum -= sl[i*w+(k-i+bw)] * sl[j*w+(k-j+bw)]
 				}
 				if i == j {
@@ -215,11 +240,7 @@ func (ws *Workspace) bandCholSolve() bool {
 			y := ws.py
 			for i := 0; i < n; i++ {
 				sum := ws.prhs[i]
-				kmin := i - bw
-				if kmin < 0 {
-					kmin = 0
-				}
-				for k := kmin; k < i; k++ {
+				for k := first[i]; k < i; k++ {
 					sum -= sl[i*w+(k-i+bw)] * y[k]
 				}
 				y[i] = sum / sl[i*w+bw]
@@ -227,12 +248,10 @@ func (ws *Workspace) bandCholSolve() bool {
 			x := ws.prhs
 			for i := n - 1; i >= 0; i-- {
 				sum := y[i]
-				kmax := i + bw
-				if kmax > n-1 {
-					kmax = n - 1
-				}
-				for k := i + 1; k <= kmax; k++ {
-					sum -= sl[k*w+(i-k+bw)] * x[k]
+				for k := i + 1; k <= min(i+bw, n-1); k++ {
+					if first[k] <= i {
+						sum -= sl[k*w+(i-k+bw)] * x[k]
+					}
 				}
 				x[i] = sum / sl[i*w+bw]
 			}
