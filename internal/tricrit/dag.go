@@ -1,8 +1,10 @@
 package tricrit
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"energysched/internal/convex"
 	"energysched/internal/dag"
@@ -22,6 +24,20 @@ type evalCtx struct {
 	loSingle, loRe []float64
 	eff, lo, hi    []float64
 	ws             *convex.Workspace
+
+	// observe, when set, sees every configuration a heuristic evaluates
+	// with the certified bound it was admitted under.
+	observe func(bound float64, cfg *Config)
+}
+
+// try evaluates a candidate admitted under a certified lower bound on
+// its energy.
+func (ec *evalCtx) try(reexec []bool, bound float64) (*Config, error) {
+	cfg, err := ec.eval(reexec)
+	if err == nil && ec.observe != nil {
+		ec.observe(bound, cfg)
+	}
+	return cfg, err
 }
 
 func newEvalCtx(g *dag.Graph, mp *platform.Mapping, in Instance) (*evalCtx, error) {
@@ -134,46 +150,88 @@ func SolveDAGExact(g *dag.Graph, mp *platform.Mapping, in Instance) (*Config, er
 	return best, nil
 }
 
+// start evaluates the all-single configuration, the starting point
+// of both heuristics, and reads its prices.
+func (ec *evalCtx) start() (*Config, convex.Dual, error) {
+	var dual convex.Dual
+	cfg, err := ec.eval(make([]bool, ec.g.N()))
+	if err != nil {
+		return nil, dual, err
+	}
+	ec.ws.Dual(ec.cg, ec.eff, &dual)
+	return cfg, dual, nil
+}
+
+// reExecBound is a certified lower bound on the energy of the
+// configuration priced by dual with task i switched to re-execution.
+func (ec *evalCtx) reExecBound(dual *convex.Dual, i int) float64 {
+	return dual.BoundWith(i, 2*ec.g.Weight(i), ec.loRe[i], ec.hi[i])
+}
+
 // DAGChainFirst generalizes the ChainFirst heuristic to arbitrary
 // mapped DAGs: start from the all-single configuration (every task
 // slowed as much as reliability and deadline allow) and greedily grow
 // the re-execution set by the move with the best energy gain,
 // re-evaluating with the convex solver after each move. O(n²) convex
-// solves.
+// solves at most; the incumbent's dual prices skip the moves that
+// provably cannot be picked.
 func DAGChainFirst(g *dag.Graph, mp *platform.Mapping, in Instance) (*Config, error) {
-	n := g.N()
 	ec, err := newEvalCtx(g, mp, in)
 	if err != nil {
 		return nil, err
 	}
-	reexec := make([]bool, n)
-	cur, err := ec.eval(reexec)
+	cur, dual, err := ec.start()
 	if err != nil {
 		return nil, err
 	}
+	return ec.chainFirst(cur, dual), nil
+}
+
+// chainFirst runs ChainFirst's rounds from cur, priced by dual. A
+// round picks the lowest-index move of least energy among those that
+// come in below bar, the incumbent's energy less a relative 1e-9. It
+// evaluates the moves in ascending order of their certified bounds and
+// stops at the first whose bound reaches bar or exceeds the round's
+// best energy so far: neither it nor any later move could be picked.
+func (ec *evalCtx) chainFirst(cur *Config, dual convex.Dual) *Config {
+	n := ec.g.N()
+	reexec := append([]bool(nil), cur.ReExec...)
+	bound := make([]float64, n)
+	order := make([]int, 0, n)
+	var bestDual convex.Dual
 	for {
+		order = order[:0]
+		for i := 0; i < n; i++ {
+			if !reexec[i] {
+				bound[i] = ec.reExecBound(&dual, i)
+				order = append(order, i)
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(bound[a], bound[b]) })
+		bar := cur.Energy * (1 - 1e-9)
 		bestIdx := -1
 		var bestCfg *Config
-		for i := 0; i < n; i++ {
-			if reexec[i] {
-				continue
+		for _, i := range order {
+			if bound[i] >= bar || bestCfg != nil && bound[i] > bestCfg.Energy {
+				break
 			}
 			reexec[i] = true
-			cfg, err := ec.eval(reexec)
+			cfg, err := ec.try(reexec, bound[i])
 			reexec[i] = false
 			if err != nil {
 				continue
 			}
-			if cfg.Energy < cur.Energy*(1-1e-9) && (bestCfg == nil || cfg.Energy < bestCfg.Energy) {
-				bestCfg = cfg
-				bestIdx = i
+			if cfg.Energy < bar && (bestCfg == nil || cfg.Energy < bestCfg.Energy || cfg.Energy == bestCfg.Energy && i < bestIdx) {
+				bestCfg, bestIdx = cfg, i
+				ec.ws.Dual(ec.cg, ec.eff, &bestDual)
 			}
 		}
 		if bestIdx == -1 {
-			return cur, nil
+			return cur
 		}
 		reexec[bestIdx] = true
 		cur = bestCfg
+		dual, bestDual = bestDual, dual
 	}
 }
 
@@ -182,21 +240,26 @@ func DAGChainFirst(g *dag.Graph, mp *platform.Mapping, in Instance) (*Config, er
 // stretch without violating the deadline in the all-single continuous
 // solution — and offers re-execution to the most parallelizable
 // (highest-slack) tasks first, keeping each move that lowers energy.
-// One pass, O(n) convex solves. On highly parallel DAGs (forks, wide
-// layers) this matches the polynomial fork strategy; on chains it
-// degenerates gracefully.
+// One pass, O(n) convex solves at most; a move whose certified bound
+// cannot lower the incumbent's energy is skipped unsolved. On highly
+// parallel DAGs (forks, wide layers) this matches the polynomial fork
+// strategy; on chains it degenerates gracefully.
 func DAGParallelFirst(g *dag.Graph, mp *platform.Mapping, in Instance) (*Config, error) {
-	n := g.N()
 	ec, err := newEvalCtx(g, mp, in)
 	if err != nil {
 		return nil, err
 	}
-	reexec := make([]bool, n)
-	cur, err := ec.eval(reexec)
+	cur, dual, err := ec.start()
 	if err != nil {
 		return nil, err
 	}
-	slack, err := taskSlacks(ec.cg, cur, in.Deadline, g)
+	return ec.parallelFirst(cur, dual)
+}
+
+// parallelFirst runs ParallelFirst's pass from cur, priced by dual.
+func (ec *evalCtx) parallelFirst(cur *Config, dual convex.Dual) (*Config, error) {
+	g, n := ec.g, ec.g.N()
+	slack, err := taskSlacks(ec.cg, cur, ec.in.Deadline, g)
 	if err != nil {
 		return nil, err
 	}
@@ -216,14 +279,20 @@ func DAGParallelFirst(g *dag.Graph, mp *platform.Mapping, in Instance) (*Config,
 			}
 		}
 	}
+	reexec := append([]bool(nil), cur.ReExec...)
 	for _, i := range order {
+		bound := ec.reExecBound(&dual, i)
+		if bound >= cur.Energy*(1-1e-9) {
+			continue
+		}
 		reexec[i] = true
-		cfg, err := ec.eval(reexec)
+		cfg, err := ec.try(reexec, bound)
 		if err != nil || cfg.Energy >= cur.Energy*(1-1e-9) {
 			reexec[i] = false
 			continue
 		}
 		cur = cfg
+		ec.ws.Dual(ec.cg, ec.eff, &dual)
 	}
 	return cur, nil
 }
@@ -270,22 +339,27 @@ func taskSlacks(cg *dag.Graph, cfg *Config, deadline float64, g *dag.Graph) ([]f
 
 // BestOf runs both heuristic families and returns the cheaper
 // configuration — the paper's "taking the best result out of those two
-// heuristics always gives the best result over all simulations".
+// heuristics always gives the best result over all simulations". Both
+// start from one all-single solve on one constraint graph.
 func BestOf(g *dag.Graph, mp *platform.Mapping, in Instance) (*Config, error) {
-	a, errA := DAGChainFirst(g, mp, in)
-	b, errB := DAGParallelFirst(g, mp, in)
-	switch {
-	case errA != nil && errB != nil:
-		return nil, errA
-	case errA != nil:
-		return b, nil
-	case errB != nil:
-		return a, nil
-	case a.Energy <= b.Energy:
-		return a, nil
-	default:
-		return b, nil
+	ec, err := newEvalCtx(g, mp, in)
+	if err != nil {
+		return nil, err
 	}
+	return ec.bestOf()
+}
+
+func (ec *evalCtx) bestOf() (*Config, error) {
+	cur, dual, err := ec.start()
+	if err != nil {
+		return nil, err
+	}
+	a := ec.chainFirst(cur, dual.Clone())
+	b, err := ec.parallelFirst(cur, dual)
+	if err != nil || a.Energy <= b.Energy {
+		return a, nil
+	}
+	return b, nil
 }
 
 // BiCritLowerBound returns the energy of the bi-criteria relaxation
