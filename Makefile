@@ -12,7 +12,7 @@ GO ?= go
 # The named kernel benchmarks guarded by the regression gate, plus the
 # server and router cache-hit paths, whose allocs/op catch any extra
 # decode or JSON scan added to a hit.
-GATED_BENCHES = BenchmarkConvexSolve64Tasks|BenchmarkChainFirstHeuristic64Tasks|BenchmarkSimplexSolve|BenchmarkDiscreteExact12Tasks|BenchmarkAblation_WaterfillChain32|BenchmarkSimulateChain64|BenchmarkCampaign1k|BenchmarkCampaignFaultFree1k|BenchmarkCampaignFaultFree1kHeapOnly|BenchmarkSweepAllClasses|BenchmarkCampaignChunked1M|BenchmarkCampaignAdaptive|Benchmark_ServerSolveCacheHit|Benchmark_RouterSolveCacheHit
+GATED_BENCHES = BenchmarkConvexSolve64Tasks|BenchmarkChainFirstHeuristic64Tasks|BenchmarkTriCritBestOf12|BenchmarkSimplexSolve|BenchmarkDiscreteExact12Tasks|BenchmarkAblation_WaterfillChain32|BenchmarkSimulateChain64|BenchmarkCampaign1k|BenchmarkCampaignFaultFree1k|BenchmarkCampaignFaultFree1kHeapOnly|BenchmarkSweepAllClasses|BenchmarkCampaignChunked1M|BenchmarkCampaignAdaptive|Benchmark_ServerSolveCacheHit|Benchmark_RouterSolveCacheHit
 
 BENCH_FLAGS = -run='^$$' -bench='^($(GATED_BENCHES))$$' -benchmem -benchtime=10x -count=5
 

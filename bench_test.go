@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -185,6 +186,28 @@ func BenchmarkChainFirstHeuristic64Tasks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tricrit.ChainFirst(ws, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTriCritBestOf12 runs the TRI-CRIT best-of heuristics on a
+// committed cold-single instance: pool index 5 of the benchmark's
+// tri-crit stream at seed 91, a 12-task series-parallel graph on two
+// processors with the default reliability model.
+func BenchmarkTriCritBestOf12(b *testing.B) {
+	raw, err := os.ReadFile("testdata/tricrit-cold12.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := core.UnmarshalInstance(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tin := tricrit.Instance{Deadline: in.Deadline, FMin: in.Speed.FMin, FMax: in.Speed.FMax, FRel: in.FRel, Rel: *in.Rel}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tricrit.BestOf(in.Graph, in.Mapping, tin); err != nil {
 			b.Fatal(err)
 		}
 	}

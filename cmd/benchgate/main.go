@@ -34,6 +34,9 @@ type metrics struct {
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  float64 `json:"bytesPerOp"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
+	// Host names the machine NsPerOp was taken on when that is not the
+	// machine of record; a refresh with -update clears it.
+	Host string `json:"host,omitempty"`
 }
 
 // baseline is the BENCH_kernels.json schema.
