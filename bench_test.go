@@ -192,9 +192,9 @@ func BenchmarkChainFirstHeuristic64Tasks(b *testing.B) {
 }
 
 // BenchmarkTriCritBestOf12 runs the TRI-CRIT best-of heuristics on a
-// committed cold-single instance: pool index 5 of the benchmark's
-// tri-crit stream at seed 91, a 12-task series-parallel graph on two
-// processors with the default reliability model.
+// committed cold-single instance: pool index 5 of svcbench's
+// cold-single tri-crit stream at seed 91, a 12-task series-parallel
+// graph on two processors with the default reliability model.
 func BenchmarkTriCritBestOf12(b *testing.B) {
 	raw, err := os.ReadFile("testdata/tricrit-cold12.json")
 	if err != nil {
