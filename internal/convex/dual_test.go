@@ -10,11 +10,12 @@ import (
 	"energysched/internal/core"
 	"energysched/internal/dag"
 	"energysched/internal/loadgen"
+	"energysched/internal/rng"
 )
 
 // TestDualBoundBelowSPOptimum holds the certified bound to the exact
-// optimum on the cold-single benchmark's bi-crit instances (pool
-// stream tags 1 and 2 at seed 91) whose constraint graph is
+// optimum on the bi-crit instances of svcbench's cold-single pool
+// streams at seed 91 (tags 1 and 2) whose constraint graph is
 // series-parallel with closed-form speeds under fmax: there
 // closedform.SolveSPBounded is the optimum of the program the barrier
 // solves with no lower speed bound. The bound must lie below that
@@ -22,10 +23,12 @@ import (
 func TestDualBoundBelowSPOptimum(t *testing.T) {
 	ws := convex.NewWorkspace()
 	var dual convex.Dual
+	st := rng.New(91) // svcbench mixes -seed into its base seed
+	seed := int64(st.Uint64())
 	checked := 0
 	for _, spec := range []loadgen.Spec{
-		{Seed: loadgen.PoolSeed(91, 1), N: 24},
-		{Seed: loadgen.PoolSeed(91, 2), N: 12},
+		{Seed: loadgen.PoolSeed(seed, 1), N: 24},
+		{Seed: loadgen.PoolSeed(seed, 2), N: 12},
 	} {
 		for i := 0; i < 100; i++ {
 			raw, err := loadgen.PoolInstance(spec, i)
