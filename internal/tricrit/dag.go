@@ -281,13 +281,14 @@ func (ec *evalCtx) parallelFirst(cur *Config, dual convex.Dual) (*Config, error)
 	}
 	reexec := append([]bool(nil), cur.ReExec...)
 	for _, i := range order {
+		bar := cur.Energy * (1 - 1e-9)
 		bound := ec.reExecBound(&dual, i)
-		if bound >= cur.Energy*(1-1e-9) {
+		if bound >= bar {
 			continue
 		}
 		reexec[i] = true
 		cfg, err := ec.try(reexec, bound)
-		if err != nil || cfg.Energy >= cur.Energy*(1-1e-9) {
+		if err != nil || cfg.Energy >= bar {
 			reexec[i] = false
 			continue
 		}
