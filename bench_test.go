@@ -213,6 +213,49 @@ func BenchmarkTriCritBestOf12(b *testing.B) {
 	}
 }
 
+// BenchmarkContinuousSolveSP24 is one cold-single bi-crit solve that
+// continuous-convex answers in closed form: pool index 0 of svcbench's
+// cold-single bi-crit stream (tag 1, n = 24) at seed 91, whose
+// constraint graph is series-parallel with speeds inside [fmin, fmax].
+func BenchmarkContinuousSolveSP24(b *testing.B) {
+	benchContinuousSolve(b, "testdata/continuous-cold24-sp.json", false)
+}
+
+// BenchmarkContinuousSolveNonSP24 is its counterpart from the same
+// stream (pool index 4), whose constraint graph is not
+// series-parallel: it pins the failed recognition plus the barrier.
+func BenchmarkContinuousSolveNonSP24(b *testing.B) {
+	benchContinuousSolve(b, "testdata/continuous-cold24-nonsp.json", true)
+}
+
+// benchContinuousSolve times core.Solve on a committed instance after
+// checking which path it takes: the barrier counts iterations, the
+// closed form takes none.
+func benchContinuousSolve(b *testing.B, path string, barrier bool) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := core.UnmarshalInstance(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := core.Solve(ctx, in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if (res.Iterations > 0) != barrier {
+		b.Fatalf("%s: %d barrier iterations", path, res.Iterations)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Solve(ctx, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkForkPoly128Branches(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	br := workload.UniformWeights.Weights(rng, 128)

@@ -11,6 +11,11 @@
 //	benchgate -in bench.out -baseline BENCH_kernels.json            # check
 //	benchgate -update -in bench.out -baseline BENCH_kernels.json    # refresh
 //
+// -update merges: the benchmarks in the run replace their baseline
+// entries and every other entry is kept, so a run of one benchmark
+// refreshes that benchmark only. Check mode fails on a baseline entry
+// the run lacks, so a stale entry cannot hide.
+//
 // The baseline is vendored alongside the code so every PR carries the
 // performance contract of the kernels it touches; `make bench`
 // refreshes it, `make bench-check` (and the CI bench job) enforces
@@ -35,7 +40,7 @@ type metrics struct {
 	BytesPerOp  float64 `json:"bytesPerOp"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
 	// Host names the machine NsPerOp was taken on when that is not the
-	// machine of record; a refresh with -update clears it.
+	// machine of record; refreshing the entry with -update clears it.
 	Host string `json:"host,omitempty"`
 }
 
@@ -48,7 +53,7 @@ type baseline struct {
 func main() {
 	in := flag.String("in", "", "benchmark output file (default stdin)")
 	basePath := flag.String("baseline", "BENCH_kernels.json", "baseline JSON path")
-	update := flag.Bool("update", false, "write the parsed run as the new baseline instead of checking")
+	update := flag.Bool("update", false, "merge the parsed run into the baseline instead of checking")
 	timeTol := flag.Float64("time-tol", 0.10, "allowed relative time/op regression")
 	allocTol := flag.Float64("alloc-tol", 0.10, "allowed relative allocs/op regression")
 	allocSlack := flag.Float64("alloc-slack", 2, "absolute allocs/op slack added to the relative bound (guards tiny counts)")
@@ -72,18 +77,7 @@ func main() {
 	}
 
 	if *update {
-		b := baseline{
-			Note:       "Kernel benchmark baseline enforced by cmd/benchgate (make bench-check, CI job `bench`). Refresh with `make bench` after intentional kernel changes. Values are per-benchmark minima across -count repetitions.",
-			Benchmarks: run,
-		}
-		out, err := json.MarshalIndent(&b, "", "  ")
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*basePath, append(out, '\n'), 0o644); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("benchgate: wrote %d benchmarks to %s\n", len(run), *basePath)
+		merge(*basePath, run)
 		return
 	}
 
@@ -136,6 +130,41 @@ func main() {
 	}
 	fmt.Printf("benchgate: %d benchmarks within tolerance (time +%.0f%%, allocs +%.0f%% +%.0f)\n",
 		len(names), *timeTol*100, *allocTol*100, *allocSlack)
+}
+
+// merge writes the run into the baseline at path: each benchmark of
+// the run replaces its entry, host note included, and every other
+// entry stays as it was, so refreshing a few benchmarks leaves the
+// rest of the machine of record's numbers alone. A baseline that does
+// not exist yet starts empty.
+func merge(path string, run map[string]metrics) {
+	b := baseline{
+		Note:       "Kernel benchmark baseline enforced by cmd/benchgate (make bench-check, CI job `bench`). Refresh with `make bench` after intentional kernel changes. Values are per-benchmark minima across -count repetitions.",
+		Benchmarks: map[string]metrics{},
+	}
+	raw, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(raw, &b); err != nil {
+			fatal("parsing baseline: %v", err)
+		}
+	case !os.IsNotExist(err):
+		fatal("reading baseline: %v", err)
+	}
+	if b.Benchmarks == nil {
+		b.Benchmarks = map[string]metrics{}
+	}
+	for name, m := range run {
+		b.Benchmarks[name] = m
+	}
+	out, err := json.MarshalIndent(&b, "", "  ")
+	if err != nil {
+		fatal("%v", err)
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		fatal("%v", err)
+	}
+	fmt.Printf("benchgate: wrote %d benchmarks (%d from this run) to %s\n", len(b.Benchmarks), len(run), path)
 }
 
 func suffix(reasons []string) string {

@@ -43,6 +43,10 @@ type Result struct {
 // the paper's theorem).
 var ErrExceedsFMax = errors.New("closedform: optimal speed exceeds fmax")
 
+// ErrBelowFMin is returned when the unconstrained optimum runs some
+// task below fmin, so the lower speed bound binds.
+var ErrBelowFMin = errors.New("closedform: optimal speed below fmin")
+
 // ErrInfeasible is returned when no speed assignment meets the
 // deadline within fmax.
 var ErrInfeasible = errors.New("closedform: infeasible deadline")
@@ -71,7 +75,7 @@ func EquivalentWeight(sp *dag.SP) float64 {
 
 // SolveSP returns the optimal CONTINUOUS solution of a series-parallel
 // graph within the deadline, ignoring speed bounds (fmin = 0,
-// fmax = ∞). Use CheckBounds or SolveSPBounded to enforce fmax.
+// fmax = ∞). SolveSPBounded enforces [fmin, fmax].
 //
 // The recursion assigns a time window to every subtree: the root gets
 // [0, D]; a series node splits its window among children
@@ -118,10 +122,13 @@ func SolveSP(sp *dag.SP, deadline float64) (*Result, error) {
 	return res, nil
 }
 
-// SolveSPBounded is SolveSP followed by an fmax check: it returns
-// ErrExceedsFMax when any optimal speed exceeds fmax (by more than a
-// relative 1e-12), signalling the caller to use the numerical solver.
-func SolveSPBounded(sp *dag.SP, deadline, fmax float64) (*Result, error) {
+// SolveSPBounded is SolveSP followed by a speed-box check: it returns
+// ErrExceedsFMax when any optimal speed exceeds fmax, and ErrBelowFMin
+// when any falls below fmin (each by more than a relative 1e-12),
+// signalling the caller to use the numerical solver. A result it
+// returns is the optimum of the bounded program too, since the
+// unbounded optimum is feasible there.
+func SolveSPBounded(sp *dag.SP, deadline, fmin, fmax float64) (*Result, error) {
 	res, err := SolveSP(sp, deadline)
 	if err != nil {
 		return nil, err
@@ -129,6 +136,9 @@ func SolveSPBounded(sp *dag.SP, deadline, fmax float64) (*Result, error) {
 	for _, f := range res.Speeds {
 		if f > fmax*(1+1e-12) {
 			return nil, ErrExceedsFMax
+		}
+		if f < fmin*(1-1e-12) {
+			return nil, ErrBelowFMin
 		}
 	}
 	return res, nil

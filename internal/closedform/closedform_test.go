@@ -213,12 +213,37 @@ func TestSolveSPRealizesDeadline(t *testing.T) {
 }
 
 func TestSolveSPBounded(t *testing.T) {
-	sp := dag.ChainSP(5, 5)
-	if _, err := SolveSPBounded(sp, 1, 2); err != ErrExceedsFMax {
-		t.Errorf("err = %v, want ErrExceedsFMax", err)
+	sp := dag.ChainSP(5, 5) // uniform speed 10/D
+	for _, c := range []struct {
+		deadline, fmin, fmax float64
+		want                 error
+	}{
+		{1, 0, 2, ErrExceedsFMax},
+		{100, 0.05, 2, nil},
+		{100, 0.2, 2, ErrBelowFMin},
+		{5, 2, 2, nil}, // both bounds met with equality
+		{5, 2 * (1 + 1e-9), 3, ErrBelowFMin},
+	} {
+		if _, err := SolveSPBounded(sp, c.deadline, c.fmin, c.fmax); err != c.want {
+			t.Errorf("D = %v, [%v, %v]: err = %v, want %v", c.deadline, c.fmin, c.fmax, err, c.want)
+		}
 	}
-	if _, err := SolveSPBounded(sp, 100, 2); err != nil {
-		t.Errorf("generous deadline rejected: %v", err)
+	// A fork at a loose deadline: the light branch drops below fmin
+	// first, while the source stays well inside the box.
+	fork := dag.ForkSP(4, 4, 0.5)
+	res, err := SolveSP(fork, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowest := res.Speeds[0]
+	for _, f := range res.Speeds {
+		slowest = math.Min(slowest, f)
+	}
+	if _, err := SolveSPBounded(fork, 10, slowest*1.01, 10); err != ErrBelowFMin {
+		t.Errorf("fork: err = %v, want ErrBelowFMin", err)
+	}
+	if _, err := SolveSPBounded(fork, 10, slowest*0.99, 10); err != nil {
+		t.Errorf("fork: %v", err)
 	}
 }
 

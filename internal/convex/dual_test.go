@@ -17,9 +17,9 @@ import (
 // optimum on the bi-crit instances of svcbench's cold-single pool
 // streams at seed 91 (tags 1 and 2) whose constraint graph is
 // series-parallel with closed-form speeds under fmax: there
-// closedform.SolveSPBounded is the optimum of the program the barrier
-// solves with no lower speed bound. The bound must lie below that
-// optimum and within the barrier's accuracy of it.
+// closedform.SolveSPBounded with fmin = 0 is the optimum of the
+// program the barrier solves with no lower speed bound. The bound must
+// lie below that optimum and within the barrier's accuracy of it.
 func TestDualBoundBelowSPOptimum(t *testing.T) {
 	ws := convex.NewWorkspace()
 	var dual convex.Dual
@@ -50,7 +50,7 @@ func TestDualBoundBelowSPOptimum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cf, err := closedform.SolveSPBounded(sp, in.Deadline, in.Speed.FMax)
+			cf, err := closedform.SolveSPBounded(sp, in.Deadline, 0, in.Speed.FMax)
 			if errors.Is(err, closedform.ErrExceedsFMax) {
 				continue
 			}

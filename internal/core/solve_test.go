@@ -315,19 +315,44 @@ func TestSolveDispatchMatrix(t *testing.T) {
 	}
 }
 
+// nShapeInstance is a CONTINUOUS BI-CRIT instance whose constraint
+// graph is the canonical non-series-parallel pattern a→c, b→c, b→d,
+// one task per processor, so continuous-convex runs the barrier.
+func nShapeInstance(deadline float64) *Instance {
+	g := dag.New()
+	a, b, c, d := g.AddTask("a", 1), g.AddTask("b", 2), g.AddTask("c", 3), g.AddTask("d", 1)
+	g.MustEdge(a, c)
+	g.MustEdge(b, c)
+	g.MustEdge(b, d)
+	sm, _ := model.NewContinuous(0.05, 10)
+	return &Instance{Graph: g, Mapping: platform.OneTaskPerProcessor(g), Speed: sm, Deadline: deadline}
+}
+
+// TestSolveDiagnostics checks the continuous solver's diagnostics on
+// both of its paths: the barrier counts its iterations on a
+// non-series-parallel graph, and the chain's closed form takes none.
 func TestSolveDiagnostics(t *testing.T) {
-	res, err := Solve(context.Background(), contInstance(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations <= 0 {
-		t.Errorf("continuous solver reported %d iterations", res.Iterations)
-	}
-	if res.WallTime <= 0 {
-		t.Errorf("wall time not measured: %v", res.WallTime)
-	}
-	if res.LowerBound <= 0 || res.Gap() != 0 {
-		t.Errorf("exact solver should be its own bound: lb=%v gap=%v", res.LowerBound, res.Gap())
+	for _, c := range []struct {
+		name       string
+		in         *Instance
+		iterations bool
+	}{
+		{"barrier", nShapeInstance(4), true},
+		{"closed form", contInstance(2), false},
+	} {
+		res, err := Solve(context.Background(), c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Iterations > 0) != c.iterations {
+			t.Errorf("%s: continuous solver reported %d iterations", c.name, res.Iterations)
+		}
+		if res.WallTime <= 0 {
+			t.Errorf("%s: wall time not measured: %v", c.name, res.WallTime)
+		}
+		if res.LowerBound <= 0 || res.Gap() != 0 {
+			t.Errorf("%s: exact solver should be its own bound: lb=%v gap=%v", c.name, res.LowerBound, res.Gap())
+		}
 	}
 }
 

@@ -3,9 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"energysched/internal/convex"
+	"energysched/internal/bicrit"
 	"energysched/internal/discrete"
 	"energysched/internal/model"
 	"energysched/internal/schedule"
@@ -35,8 +34,10 @@ func init() {
 	}
 }
 
-// continuousSolver wraps the barrier-method convex program for the
-// CONTINUOUS BI-CRIT problem — exact.
+// continuousSolver solves CONTINUOUS BI-CRIT exactly: in closed form
+// on series-parallel constraint graphs whose closed-form speeds lie in
+// [fmin, fmax] (then LowerBound = Energy and Iterations = 0), by the
+// barrier-method convex program everywhere else.
 type continuousSolver struct{}
 
 func (continuousSolver) Name() string  { return SolverContinuousConvex }
@@ -46,26 +47,12 @@ func (continuousSolver) Supports(in *Instance) bool {
 	return !in.TriCrit() && in.Speed.Kind == model.Continuous
 }
 
-// convexWorkspaces pools barrier-solver workspaces across Solve
-// calls, so repeated service requests reuse the flat Hessian and
-// Newton buffers instead of reallocating them per request.
-var convexWorkspaces = sync.Pool{New: func() any { return convex.NewWorkspace() }}
-
 func (continuousSolver) Solve(ctx context.Context, in *Instance, cfg *Config) (*Result, error) {
 	cg, err := in.Mapping.ConstraintGraph(in.Graph)
 	if err != nil {
 		return nil, err
 	}
-	n := in.Graph.N()
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range lo {
-		lo[i] = in.Speed.FMin
-		hi[i] = in.Speed.FMax
-	}
-	ws := convexWorkspaces.Get().(*convex.Workspace)
-	res, err := convex.MinimizeEnergyWS(ws, cg, in.Deadline, in.Graph.Weights(), lo, hi, convex.Options{})
-	convexWorkspaces.Put(ws)
+	res, _, err := bicrit.Solve(cg, in.Deadline, in.Speed.FMin, in.Speed.FMax)
 	if err != nil {
 		return nil, mapInfeasible(err)
 	}

@@ -3,7 +3,8 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -222,146 +223,264 @@ var ErrNotSeriesParallel = errors.New("dag: graph is not series-parallel")
 // groups the weakly connected components; a series split groups the
 // connected components of the incomparability relation (u,v
 // incomparable iff neither reaches the other), which in an N-free
-// (series-parallel) order form a chain of "blocks". The reconstructed
-// tree is verified against g's transitive closure, which makes the
-// recognizer sound by construction.
+// (series-parallel) order form a chain of "blocks".
+//
+// The tree is checked against g's transitive closure as it is built,
+// which makes the recognizer sound by construction. Two tasks are
+// ordered by the tree iff their lowest common ancestor is a series
+// node, the earlier child holding the earlier task. Tasks in different
+// parallel components are incomparable by the definition of a
+// component, and tasks in different series blocks are comparable by
+// the definition of a block, so the one pair condition left to check
+// is that every task of a block reaches every task of the later blocks.
+//
+// Vertex sets and closure rows are bitsets of one uint64 word per 64
+// tasks, and the tree's nodes come from two slabs, so a call makes a
+// fixed handful of allocations whatever the size of the graph.
 func Decompose(g *Graph) (*SP, error) {
-	if g.N() == 0 {
+	n := g.N()
+	if n == 0 {
 		return nil, errors.New("dag: empty graph")
 	}
-	reach, err := g.TransitiveClosure()
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	all := make([]int, g.N())
-	for i := range all {
-		all[i] = i
+	d := newSPDecomposer(g, order)
+	root := d.newSet()
+	all := d.set(root)
+	for v := 0; v < n; v++ {
+		all[v>>6] |= 1 << (v & 63)
 	}
-	sp, err := decompose(g, reach, all)
-	if err != nil {
-		return nil, err
-	}
-	// Soundness check: materialize a clone (Graph() renumbers leaf
-	// TaskIDs; the clone keeps the originals intact) and compare
-	// transitive closures. Graph() numbers tasks in leaf order, so the
-	// materialized id of leaf #pos is pos.
-	leaves := sp.Leaves()
-	orig := make([]int, len(leaves)) // materialized id -> original id
-	for pos, lf := range leaves {
-		orig[pos] = lf.TaskID
-	}
-	mg, err := sp.Clone().Graph()
-	if err != nil {
-		return nil, err
-	}
-	mreach, err := mg.TransitiveClosure()
-	if err != nil {
-		return nil, err
-	}
-	for u := 0; u < mg.N(); u++ {
-		for v := 0; v < mg.N(); v++ {
-			if mreach[u][v] != reach[orig[u]][orig[v]] {
-				return nil, ErrNotSeriesParallel
-			}
-		}
+	sp := d.decompose(root)
+	if sp == nil {
+		return nil, ErrNotSeriesParallel
 	}
 	return sp, nil
 }
 
-func decompose(g *Graph, reach [][]bool, verts []int) (*SP, error) {
-	if len(verts) == 1 {
-		v := verts[0]
-		lf := Leaf(g.Task(v).Name, g.Weight(v))
-		lf.TaskID = v
-		return lf, nil
-	}
-	// Parallel split: weakly connected components of the comparability
-	// relation restricted to verts.
-	comps := components(verts, func(u, v int) bool { return reach[u][v] || reach[v][u] })
-	if len(comps) > 1 {
-		children := make([]*SP, 0, len(comps))
-		for _, c := range comps {
-			ch, err := decompose(g, reach, c)
-			if err != nil {
-				return nil, err
-			}
-			children = append(children, ch)
-		}
-		return Parallel(children...), nil
-	}
-	// Series split: components of the incomparability relation. In a
-	// series-parallel order these blocks are totally ordered.
-	blocks := components(verts, func(u, v int) bool { return !reach[u][v] && !reach[v][u] })
-	if len(blocks) == 1 {
-		return nil, ErrNotSeriesParallel
-	}
-	// Order blocks by reachability (any representative works if the
-	// graph is SP; verification catches violations).
-	sort.Slice(blocks, func(i, j int) bool {
-		u, v := blocks[i][0], blocks[j][0]
-		if reach[u][v] {
-			return true
-		}
-		if reach[v][u] {
-			return false
-		}
-		return u < v
-	})
-	children := make([]*SP, 0, len(blocks))
-	for _, b := range blocks {
-		ch, err := decompose(g, reach, b)
-		if err != nil {
-			return nil, err
-		}
-		children = append(children, ch)
-	}
-	return Series(children...), nil
+// spDecomposer is Decompose's working memory. Rows and sets are
+// w-word bitsets; sets are handed out by index from a stack that each
+// decompose call pops back to where it found it, so a set is never
+// held across a call that may grow the stack.
+type spDecomposer struct {
+	g     *Graph
+	w     int
+	reach []uint64 // row u: the tasks u reaches by a non-empty path
+	cmp   []uint64 // row u: the tasks comparable with u
+	sets  []uint64
+	// blocks is the stack of series blocks being ordered and visited.
+	blocks []spBlock
+	bfs    []int
+	nodes  []SP  // ≤ 2n−1 tree nodes: its capacity is never exceeded
+	kids   []*SP // ≤ 2n−2 child pointers
 }
 
-// components returns the connected components of verts under the
-// symmetric relation rel.
-func components(verts []int, rel func(u, v int) bool) [][]int {
-	id := make(map[int]int, len(verts))
-	for i, v := range verts {
-		id[v] = i
+// spBlock is a series block awaiting its place in the chain: its set,
+// its lowest task and the number of tasks of the node that it reaches.
+type spBlock struct{ set, rep, key int }
+
+func newSPDecomposer(g *Graph, order []int) *spDecomposer {
+	n := g.N()
+	w := (n + 63) >> 6
+	rows := make([]uint64, 2*n*w)
+	d := &spDecomposer{
+		g: g, w: w,
+		reach: rows[:n*w], cmp: rows[n*w:],
+		sets:  make([]uint64, 0, 4*n*w),
+		bfs:   make([]int, 0, n),
+		nodes: make([]SP, 0, 2*n-1),
+		kids:  make([]*SP, 0, 2*n-2),
 	}
-	parent := make([]int, len(verts))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	for i := n - 1; i >= 0; i-- {
+		u := order[i]
+		ru := d.reach[u*w : (u+1)*w]
+		for _, v := range g.succs[u] {
+			ru[v>>6] |= 1 << (v & 63)
+			orInto(ru, d.reach[v*w:(v+1)*w])
 		}
-		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+	// cmp starts as the predecessor closure, then takes reach in.
+	for _, v := range order {
+		cv := d.cmp[v*w : (v+1)*w]
+		for _, p := range g.preds[v] {
+			cv[p>>6] |= 1 << (p & 63)
+			orInto(cv, d.cmp[p*w:(p+1)*w])
 		}
 	}
-	for i := 0; i < len(verts); i++ {
-		for j := i + 1; j < len(verts); j++ {
-			if rel(verts[i], verts[j]) {
-				union(i, j)
+	for i, x := range d.reach {
+		d.cmp[i] |= x
+	}
+	return d
+}
+
+func orInto(dst, src []uint64) {
+	for i, x := range src {
+		dst[i] |= x
+	}
+}
+
+// newSet pushes an empty set and returns its index.
+func (d *spDecomposer) newSet() int {
+	k := len(d.sets) / d.w
+	for i := 0; i < d.w; i++ {
+		d.sets = append(d.sets, 0)
+	}
+	return k
+}
+
+func (d *spDecomposer) set(k int) []uint64 { return d.sets[k*d.w : (k+1)*d.w] }
+
+// lowest returns the lowest task of set s, or −1 if s is empty.
+func lowest(s []uint64) int {
+	for i, x := range s {
+		if x != 0 {
+			return i<<6 | bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+func count(s []uint64) int {
+	c := 0
+	for _, x := range s {
+		c += bits.OnesCount64(x)
+	}
+	return c
+}
+
+// decompose returns the tree of the tasks in set s, or nil if they do
+// not form a series-parallel order.
+func (d *spDecomposer) decompose(s int) *SP {
+	if count(d.set(s)) == 1 {
+		v := lowest(d.set(s))
+		return d.node(SPLeaf, v, 0)
+	}
+	mark, bmark := len(d.sets), len(d.blocks)
+	defer func() { d.sets, d.blocks = d.sets[:mark], d.blocks[:bmark] }()
+	kind := SPParallel
+	first, k := d.components(s, false)
+	if k == 1 {
+		d.sets = d.sets[:mark]
+		kind = SPSeries
+		if first, k = d.components(s, true); k == 1 {
+			return nil
+		}
+	}
+	for i := 0; i < k; i++ {
+		c := first + 1 + i // set first is the BFS scratch
+		b := spBlock{set: c, rep: lowest(d.set(c))}
+		if kind == SPSeries {
+			b.key = countAnd(d.reach[b.rep*d.w:(b.rep+1)*d.w], d.set(s))
+		}
+		d.blocks = append(d.blocks, b)
+	}
+	blocks := d.blocks[bmark:]
+	if kind == SPSeries {
+		// Along a valid chain the count of reached tasks strictly falls
+		// block by block, so this order is the chain's if there is one.
+		slices.SortFunc(blocks, func(a, b spBlock) int {
+			if a.key != b.key {
+				return b.key - a.key
+			}
+			return a.rep - b.rep
+		})
+		if !d.chained(first, blocks) {
+			return nil
+		}
+	}
+	node := d.node(kind, -1, k)
+	for i := 0; i < k; i++ {
+		c := d.decompose(d.blocks[bmark+i].set)
+		if c == nil {
+			return nil
+		}
+		node.Children[i] = c
+	}
+	return node
+}
+
+// components pushes a scratch set and then, in order of their lowest
+// task, the connected components of set s under comparability (or
+// incomparability), and returns the scratch set's index and the number
+// of components.
+func (d *spDecomposer) components(s int, incomparable bool) (first, k int) {
+	first = d.newSet()
+	copy(d.set(first), d.set(s))
+	w := d.w
+	for {
+		v := lowest(d.set(first))
+		if v < 0 {
+			return first, k
+		}
+		c := d.newSet()
+		k++
+		rem, comp := d.set(first), d.set(c)
+		rem[v>>6] &^= 1 << (v & 63)
+		comp[v>>6] |= 1 << (v & 63)
+		d.bfs = append(d.bfs[:0], v)
+		for len(d.bfs) > 0 {
+			u := d.bfs[len(d.bfs)-1]
+			d.bfs = d.bfs[:len(d.bfs)-1]
+			row := d.cmp[u*w : (u+1)*w]
+			for i := range rem {
+				nb := rem[i] & row[i]
+				if incomparable {
+					nb = rem[i] &^ row[i]
+				}
+				rem[i] &^= nb
+				comp[i] |= nb
+				for ; nb != 0; nb &= nb - 1 {
+					d.bfs = append(d.bfs, i<<6|bits.TrailingZeros64(nb))
+				}
 			}
 		}
 	}
-	groups := make(map[int][]int)
-	for i, v := range verts {
-		groups[find(i)] = append(groups[find(i)], v)
+}
+
+// chained reports whether every task of each block reaches every task
+// of the blocks after it; set scratch (empty after components) holds
+// the union of the later blocks.
+func (d *spDecomposer) chained(scratch int, blocks []spBlock) bool {
+	w := d.w
+	after := d.set(scratch)
+	for i := len(blocks) - 1; i >= 0; i-- {
+		b := d.set(blocks[i].set)
+		for j, x := range b {
+			for ; x != 0; x &= x - 1 {
+				u := (j<<6 | bits.TrailingZeros64(x)) * w
+				for q, a := range after {
+					if a&^d.reach[u+q] != 0 {
+						return false
+					}
+				}
+			}
+		}
+		orInto(after, b)
 	}
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	return true
+}
+
+func countAnd(a, b []uint64) int {
+	c := 0
+	for i, x := range a {
+		c += bits.OnesCount64(x & b[i])
 	}
-	sort.Ints(keys)
-	out := make([][]int, 0, len(groups))
-	for _, k := range keys {
-		out = append(out, groups[k])
+	return c
+}
+
+// node takes a tree node from the slabs: leaf v, or an internal node
+// with k child slots.
+func (d *spDecomposer) node(kind SPKind, v, k int) *SP {
+	d.nodes = append(d.nodes, SP{Kind: kind, TaskID: -1})
+	nd := &d.nodes[len(d.nodes)-1]
+	if kind == SPLeaf {
+		t := d.g.tasks[v]
+		nd.Name, nd.Weight, nd.TaskID = t.Name, t.Weight, v
+		return nd
 	}
-	return out
+	at := len(d.kids)
+	d.kids = append(d.kids, make([]*SP, k)...)
+	nd.Children = d.kids[at : at+k : at+k]
+	return nd
 }

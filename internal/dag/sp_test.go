@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -266,6 +268,150 @@ func TestDecomposeSoundOnRandomDAGs(t *testing.T) {
 					t.Fatalf("trial %d: closure mismatch after accepted decomposition", trial)
 				}
 			}
+		}
+	}
+}
+
+// relabel returns g with task i renamed perm[i], so that task ids
+// carry no hint of the order.
+func relabel(g *Graph, perm []int) *Graph {
+	inv := make([]int, len(perm))
+	for i, p := range perm {
+		inv[p] = i
+	}
+	out := New()
+	for _, i := range inv {
+		out.AddTask(g.Task(i).Name, g.Weight(i))
+	}
+	for _, e := range g.Edges() {
+		out.MustEdge(perm[e[0]], perm[e[1]])
+	}
+	return out
+}
+
+// closureOf reports whether the materialization of sp has g's
+// transitive closure, leaf TaskIDs naming g's tasks.
+func closureOf(t *testing.T, g *Graph, sp *SP) bool {
+	t.Helper()
+	leaves := sp.Leaves()
+	if len(leaves) != g.N() {
+		return false
+	}
+	matID := make([]int, g.N())
+	for pos, lf := range leaves {
+		matID[lf.TaskID] = pos
+	}
+	mg, err := sp.Clone().Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, _ := g.TransitiveClosure()
+	r2, _ := mg.TransitiveClosure()
+	for u := range r1 {
+		for v := range r1 {
+			if r1[u][v] != r2[matID[u]][matID[v]] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestDecomposeMatchesReference holds the bitset recognizer to the
+// one it replaced: on random DAGs of every density, and on relabelled
+// series-parallel graphs of up to 140 tasks (three closure words) with
+// and without one extra edge, both accept or both reject; an accepted
+// tree has g's closure, and a second call returns the same tree.
+func TestDecomposeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	accepted, rejected := 0, 0
+	check := func(trial int, g *Graph) {
+		sp, err := Decompose(g)
+		_, refErr := decomposeReference(g)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("trial %d: Decompose err %v, reference err %v", trial, err, refErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrNotSeriesParallel) {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			rejected++
+			return
+		}
+		accepted++
+		if !closureOf(t, g, sp) {
+			t.Fatalf("trial %d: accepted tree %v does not have the graph's closure", trial, sp)
+		}
+		again, _ := Decompose(g)
+		if again.String() != sp.String() || fmt.Sprint(taskIDs(again)) != fmt.Sprint(taskIDs(sp)) {
+			t.Fatalf("trial %d: two calls disagree: %v vs %v", trial, sp, again)
+		}
+	}
+	for trial := 0; trial < 600; trial++ {
+		n := rng.Intn(8) + 2
+		p := []float64{0.1, 0.3, 0.6}[trial%3]
+		g := New()
+		for i := 0; i < n; i++ {
+			g.AddTask("t", rng.Float64()*5+0.5)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < p {
+					g.MustEdge(i, j)
+				}
+			}
+		}
+		check(trial, g)
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := rng.Intn(140) + 1
+		sg, err := randomSP(rng, n).Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := relabel(sg, rng.Perm(n))
+		if trial%2 == 1 && n > 2 {
+			// One more edge u → v with u before v in a topological
+			// order keeps g acyclic and usually breaks the SP order.
+			order, _ := g.TopoOrder()
+			i := rng.Intn(n - 1)
+			j := i + 1 + rng.Intn(n-1-i)
+			g.MustEdge(order[i], order[j])
+		}
+		check(1000+trial, g)
+	}
+	if accepted < 50 || rejected < 50 {
+		t.Fatalf("corpus too one-sided: %d accepted, %d rejected", accepted, rejected)
+	}
+}
+
+func taskIDs(sp *SP) []int {
+	var ids []int
+	for _, lf := range sp.Leaves() {
+		ids = append(ids, lf.TaskID)
+	}
+	return ids
+}
+
+// TestDecomposeLargeChain crosses the closure's word boundaries on the
+// deepest tree there is.
+func TestDecomposeLargeChain(t *testing.T) {
+	ws := make([]float64, 200)
+	for i := range ws {
+		ws[i] = float64(i%7 + 1)
+	}
+	perm := rand.New(rand.NewSource(5)).Perm(len(ws))
+	g := relabel(ChainGraph(ws...), perm)
+	sp, err := Decompose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Kind != SPSeries || len(sp.Children) != len(ws) {
+		t.Fatalf("chain of %d decomposed as %v children of a %v", len(ws), len(sp.Children), sp.Kind)
+	}
+	for i, c := range sp.Children {
+		if c.TaskID != perm[i] || c.Weight != ws[i] {
+			t.Fatalf("child %d is task %d (weight %v), want task %d (weight %v)", i, c.TaskID, c.Weight, perm[i], ws[i])
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"energysched/internal/bicrit"
 	"energysched/internal/convex"
 	"energysched/internal/dag"
 	"energysched/internal/platform"
@@ -366,20 +367,15 @@ func (ec *evalCtx) bestOf() (*Config, error) {
 // BiCritLowerBound returns the energy of the bi-criteria relaxation
 // (reliability constraints dropped, single execution per task, speeds
 // free down to fmin) — a lower bound on any TRI-CRIT solution, used to
-// normalize heuristic comparisons.
+// normalize heuristic comparisons. On a series-parallel constraint
+// graph whose closed-form speeds lie in [fmin, fmax] it is the
+// relaxation's exact optimum (see bicrit.Solve).
 func BiCritLowerBound(g *dag.Graph, mp *platform.Mapping, in Instance) (float64, error) {
 	cg, err := mp.ConstraintGraph(g)
 	if err != nil {
 		return 0, err
 	}
-	n := g.N()
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range lo {
-		lo[i] = in.FMin
-		hi[i] = in.FMax
-	}
-	res, err := convex.MinimizeEnergy(cg, in.Deadline, g.Weights(), lo, hi, convex.Options{})
+	res, _, err := bicrit.Solve(cg, in.Deadline, in.FMin, in.FMax)
 	if err != nil {
 		if err == convex.ErrInfeasible {
 			return 0, ErrInfeasible

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,29 @@ func TestSeriesParallelIsRecognizable(t *testing.T) {
 		}
 		if _, err := dag.Decompose(g); err != nil {
 			t.Errorf("trial %d: generated SP graph not recognized: %v", trial, err)
+		}
+	}
+}
+
+// TestSeriesParallelRecognizedAtEverySize decomposes the generator's
+// graphs at every size up to 130 tasks, across three closure words: a
+// recovered tree has as many leaves as the graph has tasks and the
+// same equivalent structure, so materializing it gives back the same
+// number of tasks and a critical path of the same weight.
+func TestSeriesParallelRecognizedAtEverySize(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for n := 1; n <= 130; n++ {
+		g, _ := SeriesParallel(rng, n, UniformWeights)
+		sp, err := dag.Decompose(g)
+		if err != nil {
+			t.Fatalf("n = %d: generated SP graph not recognized: %v", n, err)
+		}
+		mg, err := sp.Clone().Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mg.N() != n || math.Abs(mg.CriticalPathWeight()-g.CriticalPathWeight()) > 1e-9*g.CriticalPathWeight() {
+			t.Fatalf("n = %d: tree %v does not rebuild the graph", n, sp)
 		}
 	}
 }
