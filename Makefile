@@ -10,9 +10,10 @@
 GO ?= go
 
 # The named kernel benchmarks guarded by the regression gate, plus the
-# server and router cache-hit paths, whose allocs/op catch any extra
-# decode or JSON scan added to a hit.
-GATED_BENCHES = BenchmarkConvexSolve64Tasks|BenchmarkChainFirstHeuristic64Tasks|BenchmarkTriCritBestOf12|BenchmarkSimplexSolve|BenchmarkDiscreteExact12Tasks|BenchmarkAblation_WaterfillChain32|BenchmarkSimulateChain64|BenchmarkCampaign1k|BenchmarkCampaignFaultFree1k|BenchmarkCampaignFaultFree1kHeapOnly|BenchmarkSweepAllClasses|BenchmarkCampaignChunked1M|BenchmarkCampaignAdaptive|BenchmarkContinuousSolveSP24|BenchmarkContinuousSolveNonSP24|BenchmarkSPDecompose64Tasks|Benchmark_ServerSolveCacheHit|Benchmark_RouterSolveCacheHit
+# cache-hit paths — the server's, the router's own response cache and
+# the router's proxied hop to a warm backend — whose allocs/op catch any
+# extra decode or JSON scan added to a hit.
+GATED_BENCHES = BenchmarkConvexSolve64Tasks|BenchmarkChainFirstHeuristic64Tasks|BenchmarkTriCritBestOf12|BenchmarkSimplexSolve|BenchmarkDiscreteExact12Tasks|BenchmarkAblation_WaterfillChain32|BenchmarkSimulateChain64|BenchmarkCampaign1k|BenchmarkCampaignFaultFree1k|BenchmarkCampaignFaultFree1kHeapOnly|BenchmarkSweepAllClasses|BenchmarkCampaignChunked1M|BenchmarkCampaignAdaptive|BenchmarkContinuousSolveSP24|BenchmarkContinuousSolveNonSP24|BenchmarkSPDecompose64Tasks|Benchmark_ServerSolveCacheHit|Benchmark_RouterSolveCacheHit|Benchmark_RouterSolveBackendHit
 
 BENCH_FLAGS = -run='^$$' -bench='^($(GATED_BENCHES))$$' -benchmem -benchtime=10x -count=5
 

@@ -508,15 +508,34 @@ func Benchmark_ServerSolveCacheHit(b *testing.B) {
 }
 
 // Benchmark_RouterSolveCacheHit measures the same hit one hop further
-// out: POST /v1/solve into router.New over one warmed backend on a
-// loopback httptest listener. Besides the backend's hit path it
-// carries the router's own per-request work — the routing key (an
-// instance-key memo hit), the pick, the proxied round trip and one
-// JSON validity scan of the backend body.
+// out, as repeated production traffic through energyrouter sees it:
+// POST /v1/solve into router.New over one warmed backend, answered from
+// the router's own response cache — body read, one cache lookup on the
+// exact bytes, cached-bytes write, no backend hop.
 func Benchmark_RouterSolveCacheHit(b *testing.B) {
+	benchRouterSolveHit(b, router.Config{}, "router-cache")
+}
+
+// Benchmark_RouterSolveBackendHit keeps the proxied hit path gated:
+// the router's response cache is off, so each request pays the routing
+// key (an instance-key memo hit), the pick, the round trip to the
+// warmed backend's hit path and one JSON validity scan of its body.
+func Benchmark_RouterSolveBackendHit(b *testing.B) {
+	benchRouterSolveHit(b, router.Config{DisableDegraded: true}, "")
+}
+
+// benchRouterSolveHit times repeated solves of one warmed instance
+// through a router built from cfg over one loopback backend. Every
+// timed request must be an X-Cache hit, served by wantBackend when it
+// is set and by the backend otherwise.
+func benchRouterSolveHit(b *testing.B, cfg router.Config, wantBackend string) {
 	backend := httptest.NewServer(server.New(server.Config{CacheSize: 128}).Handler())
 	defer backend.Close()
-	rt, err := router.New(router.Config{Backends: []string{backend.URL}})
+	if wantBackend == "" {
+		wantBackend = backend.URL
+	}
+	cfg.Backends = []string{backend.URL}
+	rt, err := router.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -532,8 +551,8 @@ func Benchmark_RouterSolveCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
-			b.Fatalf("status %d, X-Cache %q", rec.Code, rec.Header().Get("X-Cache"))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" || rec.Header().Get("X-Backend") != wantBackend {
+			b.Fatalf("status %d, X-Cache %q, X-Backend %q", rec.Code, rec.Header().Get("X-Cache"), rec.Header().Get("X-Backend"))
 		}
 	}
 }

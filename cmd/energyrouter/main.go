@@ -35,11 +35,16 @@
 //	curl -X POST localhost:8080/admin/backends \
 //	     -d '{"add":["http://10.0.0.4:8080"],"remove":["http://10.0.0.2:8080"]}'
 //
+// An exact repeat of a solve, simulate or sweep body is answered from
+// the router's response cache without a backend hop (X-Cache: hit,
+// X-Backend: router-cache); -degraded-cache sizes that cache and
+// -no-degraded turns it off. Batch and job requests are always proxied.
+//
 // Failure handling: per-backend circuit breakers steer traffic away
-// from members failing live requests before the prober notices,
+// from members failing live requests before the prober notices, and
 // hedged requests race a second backend when the first leg outlives
-// the kind's observed p99, and a small degraded-mode cache answers
-// repeat reads when every backend attempt fails.
+// the kind's observed p99. Repeats the response cache holds are served
+// whatever the backends' state.
 package main
 
 import (
@@ -78,8 +83,8 @@ func main() {
 	breakerMaxBackoff := flag.Duration("breaker-max-backoff", router.DefaultBreakerMaxBackoff, "cap on the open-circuit window")
 	hedgeAfter := flag.Duration("hedge-after", router.DefaultHedgeAfter, "hedge delay before per-kind p99 is learned")
 	noHedging := flag.Bool("no-hedging", false, "disable hedged requests")
-	degradedCache := flag.Int("degraded-cache", router.DefaultDegradedCacheSize, "degraded-mode response cache entries")
-	noDegraded := flag.Bool("no-degraded", false, "disable degraded-mode serving from the response cache")
+	degradedCache := flag.Int("degraded-cache", router.DefaultDegradedCacheSize, "response cache entries: exact solve/simulate/sweep repeats answered at the router")
+	noDegraded := flag.Bool("no-degraded", false, "disable the router's response cache (proxy every request)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 	noTracing := flag.Bool("no-tracing", false, "disable request-scoped tracing (/debug/traces serves an empty ring)")
 	traceBuffer := flag.Int("trace-buffer", 0, "recent-trace ring capacity (0 = default)")

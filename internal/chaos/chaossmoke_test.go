@@ -92,8 +92,8 @@ func batchHasItemErrors(body []byte) bool {
 // boring from the caller's side:
 //
 //   - zero 5xx and zero transport errors reach the caller — every
-//     fault is absorbed by failover, breakers, hedging or the
-//     degraded cache;
+//     fault is absorbed by failover, breakers or hedging, and exact
+//     repeats are answered by the router's response cache;
 //   - per-kind p99 stays within 2× the fault-free cluster bound;
 //   - the cluster drains completely once the trace ends;
 //   - every response that succeeded in both this run and a fault-free
@@ -243,11 +243,13 @@ func TestChaosSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		InFlight   int64 `json:"inFlight"`
-		Queued     int64 `json:"queued"`
+		InFlight int64 `json:"inFlight"`
+		Queued   int64 `json:"queued"`
+		Router   struct {
+			CacheHits int64 `json:"cacheHits"`
+		} `json:"router"`
 		Resilience struct {
 			BreakerOpened int64 `json:"breakerOpened"`
-			DegradedHits  int64 `json:"degradedHits"`
 			Failovers     int64 `json:"failovers"`
 			HedgesFired   int64 `json:"hedgesFired"`
 			HedgesWon     int64 `json:"hedgesWon"`
@@ -266,7 +268,7 @@ func TestChaosSmoke(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	t.Logf("resilience: %+v", stats.Resilience)
+	t.Logf("resilience: %+v, router cache hits: %d", stats.Resilience, stats.Router.CacheHits)
 	if stats.Resilience.Failovers == 0 {
 		t.Error("chaos run recorded zero failovers; the schedule did not exercise the router")
 	}

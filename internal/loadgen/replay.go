@@ -63,6 +63,9 @@ type KindReport struct {
 // scraped before and after: cache traffic, admission-control activity
 // and semaphore queueing as the server saw them.
 type StatsDelta struct {
+	// CacheHits counts the backends' cache hits plus, behind an
+	// energyrouter, the repeats its response cache answered before any
+	// backend cache saw them.
 	CacheHits    int64   `json:"cacheHits"`
 	CacheMisses  int64   `json:"cacheMisses"`
 	CacheHitRate float64 `json:"cacheHitRate"` // hits/(hits+misses) over the run
@@ -220,7 +223,7 @@ func Replay(ctx context.Context, tr *Trace, opts ReplayOptions) (*Report, error)
 		slow = newSlowTracker(opts.Slowest)
 	}
 
-	var before client.Stats
+	var before scrapedStats
 	if opts.ScrapeStats {
 		if err := cl.GetJSON(ctx, "/stats", &before); err != nil {
 			return nil, fmt.Errorf("loadgen: scraping /stats before replay: %w", err)
@@ -307,7 +310,7 @@ issue:
 		rep.AchievedPerSec = float64(rep.Requests) / rep.WallS
 	}
 	if opts.ScrapeStats {
-		var after client.Stats
+		var after scrapedStats
 		if err := cl.GetJSON(ctx, "/stats", &after); err != nil {
 			return nil, fmt.Errorf("loadgen: scraping /stats after replay: %w", err)
 		}
@@ -346,9 +349,19 @@ func fire(ctx context.Context, cl *client.Client, ev *Event, t *kindTracker) (*c
 	return resp, dur, nil
 }
 
-func statsDelta(before, after *client.Stats) *StatsDelta {
+// scrapedStats is the /stats document a replay reads: the counters
+// energyschedd and energyrouter share, plus the router's response-cache
+// hits (zero on a single server).
+type scrapedStats struct {
+	client.Stats
+	Router struct {
+		CacheHits int64 `json:"cacheHits"`
+	} `json:"router"`
+}
+
+func statsDelta(before, after *scrapedStats) *StatsDelta {
 	d := &StatsDelta{
-		CacheHits:      after.Cache.Hits - before.Cache.Hits,
+		CacheHits:      after.Cache.Hits - before.Cache.Hits + after.Router.CacheHits - before.Router.CacheHits,
 		CacheMisses:    after.Cache.Misses - before.Cache.Misses,
 		Solved:         after.Solved - before.Solved,
 		Simulated:      after.Simulated - before.Simulated,

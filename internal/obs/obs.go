@@ -72,7 +72,7 @@ func SanitizeID(id string) string {
 // get a Trace (honoring an incoming X-Request-Id, generating one
 // otherwise), the trace rides the request context for handlers to add
 // spans, the trace ID is echoed on the response — before the handler
-// runs, so error envelopes and degraded-mode hits carry it too — and
+// runs, so error envelopes and router cache hits carry it too — and
 // the completed trace is recorded with the response status and cache
 // disposition. Non-/v1/ paths (health probes, /stats and /metrics
 // scrapes, admin) pass through untraced so scrape traffic cannot flush

@@ -90,10 +90,12 @@ func TestAdminAddRemoveLiveMembership(t *testing.T) {
 	}
 
 	// Bounded remap: every key either stays home or moves to the new
-	// member — no reshuffling among the incumbents.
+	// member — no reshuffling among the incumbents. Each round sends
+	// the keys with its own timeoutMs, so the router's response cache
+	// (keyed on the exact body) answers none of them.
 	moved := 0
 	for i := 0; i < nKeys; i++ {
-		resp, _, backend := postSolve(t, c, solveBody(i))
+		resp, _, backend := postSolve(t, c, solveBodyWithTimeout(i, 60000))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve %d after add: status %d", i, resp.StatusCode)
 		}
@@ -117,7 +119,7 @@ func TestAdminAddRemoveLiveMembership(t *testing.T) {
 		t.Fatalf("remove: status %d (%s)", status, body)
 	}
 	for i := 0; i < nKeys; i++ {
-		resp, _, backend := postSolve(t, c, solveBody(i))
+		resp, _, backend := postSolve(t, c, solveBodyWithTimeout(i, 60001))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve %d after remove: status %d", i, resp.StatusCode)
 		}

@@ -22,9 +22,9 @@ import (
 // and with a real HTTP status; junk is converted to a 502 envelope,
 // never relayed. Each input drives a solve, a job poll and a job
 // cancel under the same script, since all three run the same failover
-// chain. Every request is sent twice; the second, an instance-key memo
-// hit whenever the solve body carries a decodable instance, must get
-// the first's status and body bytes.
+// chain. Every request is sent twice; the second — for a solve whose
+// first answer was a good 200, a hit in the router's response cache —
+// must get the first's status and body bytes.
 func FuzzRouterProxy(f *testing.F) {
 	// The backend handler runs on its own goroutine, so the scripted
 	// response lives behind a mutex. Fuzz workers are separate

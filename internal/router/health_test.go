@@ -30,6 +30,15 @@ func solveBody(i int) []byte {
 	return []byte(`{"instance":` + testInstance(i) + `}`)
 }
 
+// solveBodyWithTimeout is solveBody(i) carrying a timeoutMs option: the
+// same instance, so the same routing key and the same backend cache
+// entry, but different bytes, so the router's response cache (keyed on
+// the exact body) cannot answer it and the request is routed. Tests
+// that assert where a repeat lands send these.
+func solveBodyWithTimeout(i, timeoutMs int) []byte {
+	return []byte(fmt.Sprintf(`{"instance":%s,"timeoutMs":%d}`, testInstance(i), timeoutMs))
+}
+
 // postSolve posts one solve through the cluster's router and returns
 // the response plus the URL of the backend that served it.
 func postSolve(t *testing.T, c *router.TestCluster, body []byte) (*http.Response, []byte, string) {
@@ -116,9 +125,11 @@ func TestHealthEvictionAndRerouting(t *testing.T) {
 	}
 
 	// All traffic still succeeds; the evicted member's keys moved, all
-	// others stayed home (cache locality survives the eviction).
+	// others stayed home (cache locality survives the eviction). The
+	// bodies differ from the first round's only in timeoutMs, so each
+	// is routed rather than answered by the router's response cache.
 	for i := 0; i < nKeys; i++ {
-		resp, _, backend := postSolve(t, c, solveBody(i))
+		resp, _, backend := postSolve(t, c, solveBodyWithTimeout(i, 60000))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve %d after eviction: status %d", i, resp.StatusCode)
 		}
@@ -242,9 +253,11 @@ func TestHealthReadmissionRestoresMappingWithoutDroppingInflight(t *testing.T) {
 		t.Fatal("in-flight request never completed")
 	}
 
-	// Readmission restores the original mapping: key 0 routes home.
+	// Readmission restores the original mapping: key 0 routes home
+	// (sent with a timeoutMs so the router's response cache does not
+	// answer it).
 	c.SetBackendDelay(target, 0)
-	resp2, _, backend2 := postSolve(t, c, solveBody(0))
+	resp2, _, backend2 := postSolve(t, c, solveBodyWithTimeout(0, 60000))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("status %d after readmission", resp2.StatusCode)
 	}
@@ -318,5 +331,11 @@ func TestTransportFailoverHidesDeadBackend(t *testing.T) {
 		if resp.Status != http.StatusOK {
 			t.Fatalf("solve %d: status %d (body %s)", i, resp.Status, resp.Body)
 		}
+	}
+	// Every body was distinct, so none was answered from the router's
+	// response cache: the 200s above are the failover's work.
+	if s := scrapeRouter(t, c); s.Resilience.Failovers == 0 || s.Router.CacheHits != 0 {
+		t.Fatalf("failovers %d, router cache hits %d; want failovers past the dead member and no cache hits",
+			s.Resilience.Failovers, s.Router.CacheHits)
 	}
 }

@@ -30,6 +30,7 @@ func (rt *Router) newRegistry() *obs.Registry {
 	r.Counter("energyrouter_no_backend_total", "503s with zero healthy backends.", "router.noBackend", &rt.noBackend)
 	r.Counter("energyrouter_scattered_total", "Batch requests split across backends.", "router.scattered", &rt.scattered)
 	r.Counter("energyrouter_panics_total", "Handler panics contained by the recovery middleware.", "router.panics", &rt.panics)
+	r.Counter("energyrouter_cache_hits_total", "Requests answered from the router's response cache, with no backend hop.", "router.cacheHits", &rt.cacheHits)
 
 	r.Counter("energyrouter_breaker_opened_total", "Circuit transitions to open.", "resilience.breakerOpened", &rt.breakerOpened)
 	r.Counter("energyrouter_breaker_half_open_total", "Open circuits admitting a trial request.", "resilience.breakerHalfOpen", &rt.breakerHalfOpen)
@@ -40,7 +41,6 @@ func (rt *Router) newRegistry() *obs.Registry {
 		func() float64 { return float64(rt.retried.Load()) })
 	r.Counter("energyrouter_hedges_fired_total", "Hedge second legs launched.", "resilience.hedgesFired", &rt.hedgesFired)
 	r.Counter("energyrouter_hedges_won_total", "Hedge legs that answered first.", "resilience.hedgesWon", &rt.hedgesWon)
-	r.Counter("energyrouter_degraded_hits_total", "Responses served from the degraded cache.", "resilience.degradedHits", &rt.degradedHits)
 
 	r.GaugeVec("energyrouter_policy_info", "Resolved routing policy (value is always 1).", "",
 		func(emit func(obs.Sample)) {

@@ -21,14 +21,13 @@ func TestResilienceBlockGolden(t *testing.T) {
 	rt.breakerClosed.Add(1)
 	rt.hedgesFired.Add(7)
 	rt.hedgesWon.Add(4)
-	rt.degradedHits.Add(5)
 	rt.retried.Add(6)
 
 	out, err := json.Marshal(rt.metrics.Stats()["resilience"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = `{"breakerClosed":1,"breakerHalfOpen":2,"breakerOpened":3,"degradedHits":5,"failovers":6,"hedgesFired":7,"hedgesWon":4}`
+	const golden = `{"breakerClosed":1,"breakerHalfOpen":2,"breakerOpened":3,"failovers":6,"hedgesFired":7,"hedgesWon":4}`
 	if string(out) != golden {
 		t.Fatalf("resilience block drifted:\n got %s\nwant %s", out, golden)
 	}
@@ -67,7 +66,7 @@ func TestResilienceBlockKeysSorted(t *testing.T) {
 	if !sort.StringsAreSorted(keys) {
 		t.Fatalf("resilience keys are not sorted: %v", keys)
 	}
-	if len(keys) != 7 {
-		t.Fatalf("resilience block has %d keys, want 7 (extend the goldens when adding counters)", len(keys))
+	if len(keys) != 6 {
+		t.Fatalf("resilience block has %d keys, want 6 (extend the goldens when adding counters)", len(keys))
 	}
 }

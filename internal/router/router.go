@@ -19,6 +19,10 @@
 //	GET  /admin/backends  — current membership and health
 //	POST /admin/backends  — add/remove members without a restart
 //
+// An exact repeat of a solve, simulate or sweep body is answered from
+// the router's own response cache (respcache.go) before any routing:
+// X-Cache: hit, X-Backend: router-cache, no backend hop.
+//
 // Routing policies are pluggable: "affinity" consistent-hashes the
 // canonical core.Instance.Hash onto the pool, so every repeat of an
 // instance lands on the backend already holding its cached bytes —
@@ -32,24 +36,24 @@
 // On top of health probing the router carries the failure-handling
 // machinery the chaos campaigns exercise: per-backend circuit breakers
 // (breaker.go) shed traffic away from members failing live requests
-// before any probe has noticed; hedged requests (hedge.go) race a
-// second backend when the first leg exceeds the kind's p99; and a
-// degraded-mode cache (degraded.go) re-serves the last good response
-// for a body when every backend attempt fails. Transport failures,
-// backend 502/503s and corrupt (invalid-JSON 2xx) responses all fail
-// over to another backend, so a fault window never surfaces as a
-// caller-visible error while a clean member remains.
+// before any probe has noticed; and hedged requests (hedge.go) race a
+// second backend when the first leg exceeds the kind's p99. Transport
+// failures, backend 502/503s and corrupt (invalid-JSON 2xx) responses
+// all fail over to another backend, so a fault window never surfaces
+// as a caller-visible error while a clean member remains; repeats the
+// response cache holds are answered even with none.
 //
-// Every caller request reaches a backend through one failover loop,
-// forwardChain, which picks with pickFrom and sends with sendOne. A
-// proxyReq describes the request: method, path, body, routing key, the
-// latency kind that drives hedging (empty for requests that never
-// hedge), and two properties of the request rather than of the path
-// it came in on — pinned, which routes on the ring whatever the
-// configured policy (job state lives on one member), and
-// notFoundFails, which makes a 404 fail over (a poll may reach a
-// member that does not hold the job). So breakers, failover counts and
-// attempt spans cover every proxied request alike. The only other
+// Every caller request the response cache does not answer reaches a
+// backend through one failover loop, forwardChain, which picks with
+// pickFrom and sends with sendOne. A proxyReq describes the request:
+// method, path, body, routing key, the latency kind that drives
+// hedging (empty for requests that never hedge), and two properties
+// of the request rather than of the path it came in on — pinned,
+// which routes on the ring whatever the configured policy (job state
+// lives on one member), and notFoundFails, which makes a 404 fail over
+// (a poll may reach a member that does not hold the job). So breakers,
+// failover counts and attempt spans cover every proxied request
+// alike. The only other
 // backend calls are the router's own: health probes and /stats
 // scrapes.
 package router
@@ -169,11 +173,13 @@ type Config struct {
 	HedgeAfter time.Duration
 	// DisableHedging turns hedged requests off.
 	DisableHedging bool
-	// DegradedCacheSize is the capacity of the last-good response
-	// cache served when every backend attempt fails (default
-	// DefaultDegradedCacheSize).
+	// DegradedCacheSize is the capacity of the router's response
+	// cache (respcache.go), which answers exact repeats of solve,
+	// simulate and sweep bodies without a backend hop, whether or not
+	// any backend is up (default DefaultDegradedCacheSize).
 	DegradedCacheSize int
-	// DisableDegraded turns the degraded-mode response cache off.
+	// DisableDegraded turns the response cache off: every request is
+	// proxied.
 	DisableDegraded bool
 	// HTTPClient, when set, issues all backend requests — tests share
 	// one transport; production leaves it nil and gets per-request
@@ -261,8 +267,8 @@ type Router struct {
 	latMu   sync.Mutex
 	latency map[string]*hist.Atomic // per-kind success latency, drives hedging
 
-	degraded *cache.Cache[[]byte] // last-good responses by kind+body
-	keys     *core.InstanceKeys   // raw instance bytes → routing key
+	responses *cache.Cache[[]byte] // last-good responses by kind+body
+	keys      *core.InstanceKeys   // raw instance bytes → routing key
 
 	requests   atomic.Int64 // HTTP requests accepted by the router
 	proxied    atomic.Int64 // backend requests issued (incl. scatter legs)
@@ -271,13 +277,13 @@ type Router struct {
 	noBackend  atomic.Int64 // 503s with zero healthy backends
 	scattered  atomic.Int64 // batch requests split across backends
 	panics     atomic.Int64 // handler panics contained by the recovery middleware
+	cacheHits  atomic.Int64 // responses served from the response cache
 
 	breakerOpened   atomic.Int64 // closed/half-open → open transitions
 	breakerHalfOpen atomic.Int64 // open → half-open trial admissions
 	breakerClosed   atomic.Int64 // open/half-open → closed recoveries
 	hedgesFired     atomic.Int64 // second legs launched
 	hedgesWon       atomic.Int64 // second legs that answered first
-	degradedHits    atomic.Int64 // responses served from the degraded cache
 }
 
 // New returns a ready Router over cfg.Backends with zero fields
@@ -358,7 +364,7 @@ func New(cfg Config) (*Router, error) {
 		})
 	}
 	if !cfg.DisableDegraded {
-		rt.degraded = cache.New[[]byte](cfg.DegradedCacheSize)
+		rt.responses = cache.New[[]byte](cfg.DegradedCacheSize)
 	}
 	members := make([]*member, 0, len(cfg.Backends))
 	for i, u := range cfg.Backends {
@@ -707,15 +713,18 @@ func (rt *Router) forwardChain(ctx context.Context, p *pool, rq proxyReq, tried 
 	return nil, nil, errNoBackend
 }
 
-// proxyHandler serves one single-backend endpoint: read, route
-// (hedged), relay. When every backend attempt fails and the degraded
-// cache holds the last good response for these exact bytes, that
-// response is re-served instead of the error.
+// proxyHandler serves one single-backend endpoint: read, answer from
+// the response cache when it holds these exact bytes, otherwise route
+// (hedged) and relay, remembering a usable 200.
 func (rt *Router) proxyHandler(kind string) http.HandlerFunc {
 	path := "/v1/" + kind
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := rt.readBody(w, r)
 		if err != nil {
+			return
+		}
+		key := rt.responseKey(kind, body)
+		if rt.serveCached(w, r, key) {
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
@@ -724,19 +733,12 @@ func (rt *Router) proxyHandler(kind string) http.HandlerFunc {
 			method: http.MethodPost, path: path, body: body,
 			key: rt.routingKey(kind, body), kind: kind,
 		})
-		if err == nil && !unusable(resp) {
-			if resp.Status == http.StatusOK {
-				rt.degradedPut(kind, body, resp.Body)
-			}
-			rt.relay(w, resp, m)
-			return
-		}
-		if rt.serveDegraded(w, kind, body) {
-			return
-		}
 		if err != nil {
 			rt.writeForwardError(w, err)
 			return
+		}
+		if resp.Status == http.StatusOK && !unusable(resp) {
+			rt.cachePut(key, resp.Body)
 		}
 		rt.relay(w, resp, m)
 	}

@@ -25,8 +25,11 @@ func postJSON(t *testing.T, c *router.TestCluster, path string, body []byte) (*h
 }
 
 // TestProxySolveCacheHitStaysHome: a solve through the router is a
-// cache miss, its repeat is a hit, and both land on the same backend —
-// the per-request view of the affinity guarantee.
+// cache miss, and a repeat of its instance is a hit on the same backend
+// — the per-request view of the affinity guarantee. The routed repeat
+// differs from the first body only in timeoutMs, so it keys the same
+// backend cache entry but not the router's response cache; the exact
+// repeat is then answered by the router itself, with the same bytes.
 func TestProxySolveCacheHitStaysHome(t *testing.T) {
 	c, err := router.NewTestCluster(3)
 	if err != nil {
@@ -42,7 +45,7 @@ func TestProxySolveCacheHitStaysHome(t *testing.T) {
 		t.Fatalf("first solve X-Cache = %q, want miss", got)
 	}
 
-	resp2, body2, backend2 := postSolve(t, c, solveBody(1))
+	resp2, body2, backend2 := postSolve(t, c, solveBodyWithTimeout(1, 60000))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("second solve: status %d", resp2.StatusCode)
 	}
@@ -54,6 +57,15 @@ func TestProxySolveCacheHitStaysHome(t *testing.T) {
 	}
 	if !bytes.Equal(body1, body2) {
 		t.Fatalf("cached solve bytes differ from the original:\n%s\nvs\n%s", body1, body2)
+	}
+
+	resp3, body3, backend3 := postSolve(t, c, solveBody(1))
+	if resp3.StatusCode != http.StatusOK || resp3.Header.Get("X-Cache") != "hit" || backend3 != "router-cache" {
+		t.Fatalf("exact repeat: status %d, X-Cache %q, X-Backend %q; want 200 hit router-cache",
+			resp3.StatusCode, resp3.Header.Get("X-Cache"), backend3)
+	}
+	if !bytes.Equal(body1, body3) {
+		t.Fatalf("router-cached solve bytes differ from the original:\n%s\nvs\n%s", body1, body3)
 	}
 }
 
@@ -271,9 +283,14 @@ func TestSolversAndStatsAggregation(t *testing.T) {
 }
 
 // TestSweepProxied: a sweep request (no instance to key on — keyed by
-// body bytes) round-trips through the router.
+// body bytes) round-trips through the router. A sweep's routing key is
+// its exact bytes, the same bytes that key the router's response
+// cache, so no routed repeat exists with the cache on: this cluster
+// runs with it off to watch where the repeat lands.
 func TestSweepProxied(t *testing.T) {
-	c, err := router.NewTestCluster(2)
+	c, err := router.NewTestCluster(2, router.WithRouterConfig(func(cfg *router.Config) {
+		cfg.DisableDegraded = true
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,9 @@ func TestRouterStatsDocumentGolden(t *testing.T) {
   "inFlight": 0, "queued": 0, "shed": 0, "coalesced": 0,
   "cache": {"hits": 0, "misses": 2, "evictions": 0, "entries": 1, "capacity": 1024},
   "policy": "affinity",
-  "router": {"requests": 2, "proxied": 1, "retried": 0, "badGateway": 0, "noBackend": 0, "scattered": 0, "panics": 0},
-  "resilience": {"breakerClosed": 0, "breakerHalfOpen": 0, "breakerOpened": 0, "degradedHits": 0,
+  "router": {"requests": 2, "proxied": 1, "retried": 0, "badGateway": 0, "noBackend": 0, "scattered": 0, "panics": 0,
+             "cacheHits": 0},
+  "resilience": {"breakerClosed": 0, "breakerHalfOpen": 0, "breakerOpened": 0,
                  "failovers": 0, "hedgesFired": 0, "hedgesWon": 0},
   "backends": [
     {"url": "<backend0>", "healthy": true, "proxied": 1, "outstanding": 0, "probedLoad": 0, "evictions": 0, "readmissions": 0},
